@@ -1,24 +1,20 @@
 //! The simulator's packet representation.
 //!
-//! A [`SimPacket`] carries a parsed [`Phv`] plus (optionally) the original
-//! template bytes it was replicated from.  Header *fields* live in the PHV
-//! while traversing the switch — exactly like hardware, where the packet
-//! body is buffered out-of-band and only the header vector flows through the
-//! match-action stages.  [`crate::parser`] converts between bytes and PHV at
-//! the pipeline boundaries.
+//! A [`SimPacket`] is a parsed [`Phv`] plus a simulator-unique id.  Header
+//! *fields* live in the PHV while traversing the switch — exactly like
+//! hardware, where the packet body is buffered out-of-band and only the
+//! header vector flows through the match-action stages.  The simulator
+//! carries no body: the MACs serialize the PHV's `meta.pkt_len` bytes, and
+//! [`crate::parser::deparse`] writes the PHV's headers into a caller's
+//! frame buffer when wire bytes are needed.
 
 use crate::phv::{fields, Phv};
-use std::sync::Arc;
 
 /// A packet inside the simulated world.
 #[derive(Debug, Clone)]
 pub struct SimPacket {
     /// Parsed header vector (also holds intrinsic metadata).
     pub phv: Phv,
-    /// The packet body as originally built (headers may be stale relative to
-    /// the PHV after pipeline edits; [`crate::parser::deparse`] reconciles).
-    /// Replicas of one template share the buffer.
-    pub body: Option<Arc<Vec<u8>>>,
     /// Simulator-unique id, for tracing and test assertions.
     pub uid: u64,
 }

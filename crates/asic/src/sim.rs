@@ -339,7 +339,10 @@ pub trait Device: Any + Send {
     /// lets the world widen batches across instants inside the lookahead
     /// window (`World::step_batch`'s windowed mode).  A device returning
     /// `t_la` here MUST never emit or wake earlier than `now + t_la` — the
-    /// ordering proof of the windowed batch depends on it.
+    /// ordering proof of the windowed batch depends on it, so the world
+    /// checks every wake and emission time against it when flushing the
+    /// outbox and panics on a breach.  The value is read once, when the
+    /// device is added to the world.
     fn lookahead(&self) -> SimTime {
         0
     }
@@ -666,7 +669,7 @@ pub enum TraceKind {
 
 /// One processed event in the world's debug trace (see
 /// [`WorldBuilder::trace`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Event time.
     pub at: SimTime,
@@ -1243,7 +1246,14 @@ impl World {
     /// when no times were supplied (the same-instant paths) — as the
     /// [`EvKey`] birth and the earliest-schedule clamp, exactly what a
     /// serial flush after that item's handler would have used.
+    ///
+    /// # Panics
+    /// Panics when a device with a nonzero [`Device::lookahead`] requested
+    /// a wake or emission earlier than its segment time plus that
+    /// lookahead: the windowed batcher's ordering proof rests on the
+    /// declaration, so a breach is a device bug, not something to clamp.
     fn flush_segments(&mut self, device: DeviceId, out: &mut Outbox, times: &[SimTime]) {
+        let la = self.lookaheads[device];
         // Walk the checkpoint segments (one per batch item; the whole
         // outbox when no checkpoints were recorded), issuing each
         // segment's wakes before its emissions — the same key-assignment
@@ -1257,12 +1267,21 @@ impl World {
         let final_mark = std::iter::once((wakes_it.len(), emits_it.len()));
         for (seg, (w1, e1)) in marks.iter().copied().chain(final_mark).enumerate() {
             let seg_now = times.get(seg).copied().unwrap_or(self.now);
+            // Zero lookahead promises nothing; such devices keep the
+            // clamp to `seg_now` below.
+            let floor = if la > 0 { seg_now.saturating_add(la) } else { 0 };
             for (token, at) in wakes_it.by_ref().take(w1 - w0) {
+                if at < floor {
+                    self.lookahead_breach("a wake", device, seg_now, at, la);
+                }
                 let key = EvKey::device(seg_now, device, self.ctrs[device]);
                 self.ctrs[device] += 1;
                 self.queue.push(at.max(seg_now), key, EventKind::Wake { device, token });
             }
             for (port, mut pkt, at) in emits_it.by_ref().take(e1 - e0) {
+                if at < floor {
+                    self.lookahead_breach("an emission", device, seg_now, at, la);
+                }
                 let slot =
                     self.link_table.get(device).and_then(|ports| ports.get(usize::from(port)));
                 let Some(Some(link)) = slot else {
@@ -1305,6 +1324,26 @@ impl World {
         out.emits = emits;
         out.marks = marks;
         out.marks.clear();
+    }
+
+    /// The failure path of the lookahead check in
+    /// [`flush_segments`](Self::flush_segments), kept out of line so the
+    /// flush loop carries only the compare.
+    #[cold]
+    #[inline(never)]
+    fn lookahead_breach(
+        &self,
+        what: &str,
+        device: DeviceId,
+        seg_now: SimTime,
+        at: SimTime,
+        la: SimTime,
+    ) -> ! {
+        panic!(
+            "device {device} ({}) requested {what} at {at} ps from an event at {seg_now} ps, \
+             inside its declared lookahead of {la} ps",
+            self.devices[device].name()
+        );
     }
 
     /// Runs until the queue drains or simulated time exceeds `t_end`
@@ -1426,7 +1465,7 @@ mod tests {
 
     fn blank_packet() -> SimPacket {
         let t = FieldTable::new();
-        SimPacket { phv: t.new_phv(), body: None, uid: 0 }
+        SimPacket { phv: t.new_phv(), uid: 0 }
     }
 
     #[test]
@@ -1717,6 +1756,97 @@ mod tests {
             d.batch_hist,
             d.events
         );
+    }
+
+    /// Declares a lookahead, then answers inside it: half of it early
+    /// as an emission, or as a wake.
+    struct Hasty {
+        la: SimTime,
+        wake: bool,
+    }
+
+    impl Device for Hasty {
+        fn name(&self) -> &str {
+            "hasty"
+        }
+
+        fn rx(&mut self, port: u16, pkt: SimPacket, now: SimTime, out: &mut Outbox) {
+            if self.wake {
+                out.wake_at(0, now + self.la / 2);
+            } else {
+                out.emit(port, pkt, now + self.la / 2);
+            }
+        }
+
+        fn lookahead(&self) -> SimTime {
+            self.la
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn run_hasty(wake: bool) {
+        let mut w = world(1);
+        let h = w.add_device(Box::new(Hasty { la: 1_000, wake }));
+        let c = w.add_device(Box::new(Counter { count: 0, woken: Vec::new() }));
+        w.link((h, 0), (c, 0), LinkSpec::new().delay(5_000));
+        w.schedule_rx(h, 0, blank_packet(), 100);
+        w.run_to_idle(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "device 0 (hasty) requested an emission at 600 ps from an event at \
+                               100 ps, inside its declared lookahead of 1000 ps")]
+    fn emission_inside_the_declared_lookahead_panics() {
+        run_hasty(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "requested a wake at 600 ps")]
+    fn wake_inside_the_declared_lookahead_panics() {
+        run_hasty(true);
+    }
+
+    #[test]
+    #[should_panic(expected = "device 0 (absorb-then-emit)")]
+    fn unbounded_lookahead_forbids_any_creation() {
+        /// Claims a sink's unbounded lookahead but emits anyway.
+        struct Liar;
+
+        impl Device for Liar {
+            fn name(&self) -> &str {
+                "absorb-then-emit"
+            }
+
+            fn rx(&mut self, port: u16, pkt: SimPacket, now: SimTime, out: &mut Outbox) {
+                out.emit(port, pkt, now + 1_000_000);
+            }
+
+            fn lookahead(&self) -> SimTime {
+                SimTime::MAX
+            }
+
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        let mut w = world(1);
+        let l = w.add_device(Box::new(Liar));
+        let c = w.add_device(Box::new(Counter { count: 0, woken: Vec::new() }));
+        w.link((l, 0), (c, 0), LinkSpec::new());
+        w.schedule_rx(l, 0, blank_packet(), 0);
+        w.run_to_idle(10);
     }
 
     #[test]

@@ -261,9 +261,9 @@ impl Switch {
 
     /// Builds a [`SimPacket`] from wire bytes, parsed with this switch's
     /// field table and given a fresh uid.
-    pub fn make_packet(&mut self, bytes: Vec<u8>) -> SimPacket {
-        let phv = parser::parse(&self.fields, &bytes).expect("unparsable frame");
-        SimPacket { phv, body: Some(std::sync::Arc::new(bytes)), uid: self.alloc_uid() }
+    pub fn make_packet(&mut self, bytes: &[u8]) -> SimPacket {
+        let phv = parser::parse(&self.fields, bytes).expect("unparsable frame");
+        SimPacket { phv, uid: self.alloc_uid() }
     }
 
     /// Allocates a packet uid.
@@ -659,7 +659,7 @@ mod tests {
     fn forwarded_packet_leaves_with_pipeline_latency() {
         let mut sw = forwarding_switch(0);
         sw.trace.tx = true;
-        let pkt = sw.make_packet(udp_frame(64));
+        let pkt = sw.make_packet(&udp_frame(64));
         let mut out = Outbox::default();
         sw.process(pkt, 5, 1_000_000, &mut out);
         assert_eq!(out.emits.len(), 1);
@@ -682,7 +682,7 @@ mod tests {
     fn packet_without_destination_is_dropped() {
         let mut sw = Switch::new("sw", 1);
         sw.add_port(0, gbps(100));
-        let pkt = sw.make_packet(udp_frame(64));
+        let pkt = sw.make_packet(&udp_frame(64));
         let mut out = Outbox::default();
         sw.process(pkt, 0, 0, &mut out);
         assert!(out.emits.is_empty());
@@ -701,7 +701,7 @@ mod tests {
             ActionSet::new("drop", vec![PrimitiveOp::Drop]),
         );
         sw.ingress.push_table(tbl);
-        let pkt = sw.make_packet(udp_frame(64));
+        let pkt = sw.make_packet(&udp_frame(64));
         let mut out = Outbox::default();
         sw.process(pkt, 0, 0, &mut out);
         assert_eq!(sw.counters.ingress_drops, 1);
@@ -728,7 +728,7 @@ mod tests {
         sw.ingress.push_table(tbl);
         sw.trace.tx = true;
 
-        let pkt = sw.make_packet(udp_frame(64));
+        let pkt = sw.make_packet(&udp_frame(64));
         let mut out = Outbox::default();
         sw.process(pkt, 0, 0, &mut out);
         assert_eq!(out.emits.len(), 3);
@@ -756,7 +756,7 @@ mod tests {
         sw.trace.recirc = true;
 
         let mut w = World::builder().seed(1).build().unwrap();
-        let pkt = sw.make_packet(udp_frame(64));
+        let pkt = sw.make_packet(&udp_frame(64));
         let sw_id = w.add_device(Box::new(sw));
         w.schedule_rx(sw_id, CPU_PORT, pkt, 0);
         // Run 100 µs ≈ 175 loops.
@@ -812,7 +812,7 @@ mod tests {
             assert_eq!(sw.exec_mode(), mode);
             let mut out = Outbox::default();
             for i in 0..8u64 {
-                let pkt = sw.make_packet(udp_frame(64 + i as usize * 10));
+                let pkt = sw.make_packet(&udp_frame(64 + i as usize * 10));
                 let port = if i % 2 == 0 { CPU_PORT } else { 2 };
                 sw.process(pkt, port, 1_000 * i, &mut out);
             }
@@ -838,7 +838,7 @@ mod tests {
         sw.ingress.push_table(tbl);
 
         let mut w = World::builder().seed(1).build().unwrap();
-        let pkt = sw.make_packet(udp_frame(64));
+        let pkt = sw.make_packet(&udp_frame(64));
         let sw_id = w.add_device(Box::new(sw));
         w.schedule_rx(sw_id, CPU_PORT, pkt, 0);
         w.run_until(crate::time::us(10));

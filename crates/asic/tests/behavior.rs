@@ -102,7 +102,7 @@ fn mcast_replicas_are_independent_phvs() {
     sw.egress.push_table(edit);
 
     let pkt = sw.make_packet(
-        PacketBuilder::new()
+        &PacketBuilder::new()
             .ipv4(Ipv4Address::new(1, 0, 0, 1), Ipv4Address::new(1, 0, 0, 2))
             .udp(1, 1)
             .frame_len(64)
@@ -140,14 +140,14 @@ fn egress_drop_counts_and_suppresses_emission() {
     sw.egress.push_table(drop_big);
 
     let small = sw.make_packet(
-        PacketBuilder::new()
+        &PacketBuilder::new()
             .ipv4(Ipv4Address::new(1, 0, 0, 1), Ipv4Address::new(1, 0, 0, 2))
             .udp(1, 1)
             .frame_len(64)
             .build(),
     );
     let big = sw.make_packet(
-        PacketBuilder::new()
+        &PacketBuilder::new()
             .ipv4(Ipv4Address::new(1, 0, 0, 1), Ipv4Address::new(1, 0, 0, 2))
             .udp(1, 1)
             .frame_len(512)
@@ -181,7 +181,7 @@ fn digests_preserve_generation_order() {
     sw.ingress.push_table(tbl);
     for sport in [5u16, 9, 2] {
         let pkt = sw.make_packet(
-            PacketBuilder::new()
+            &PacketBuilder::new()
                 .ipv4(Ipv4Address::new(1, 0, 0, 1), Ipv4Address::new(1, 0, 0, 2))
                 .udp(sport, 1)
                 .frame_len(64)

@@ -120,7 +120,7 @@ impl Device for Pulser {
         }
         self.left -= 1;
         self.sent += 1;
-        let pkt = SimPacket { phv: self.table.new_phv(), body: None, uid: self.sent };
+        let pkt = SimPacket { phv: self.table.new_phv(), uid: self.sent };
         out.emit(0, pkt, now);
         if self.left > 0 {
             out.wake_at(token, now + self.period);
@@ -146,7 +146,7 @@ struct Summary {
 }
 
 fn blank(table: &FieldTable, uid: u64) -> SimPacket {
-    SimPacket { phv: table.new_phv(), body: None, uid }
+    SimPacket { phv: table.new_phv(), uid }
 }
 
 /// A ring of `hops` forwarding devices with positive inter-hop delays,

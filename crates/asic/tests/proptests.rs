@@ -135,7 +135,7 @@ proptest! {
             .build();
         let mut out = Outbox::default();
         for i in 0..n {
-            let pkt = sw.make_packet(frame.clone());
+            let pkt = sw.make_packet(&frame);
             sw.process(pkt, CPU_PORT, i as u64 * 1_000, &mut out);
         }
         prop_assert_eq!(out.emits.len(), n);

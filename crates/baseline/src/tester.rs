@@ -133,7 +133,7 @@ impl MoonGen {
         phv.set(&self.fields, fields::UDP_VALID, 1);
         let uid = self.uid;
         self.uid += 1;
-        SimPacket { phv, body: None, uid }
+        SimPacket { phv, uid }
     }
 }
 

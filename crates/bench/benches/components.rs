@@ -109,7 +109,7 @@ fn bench_switch_pipeline(c: &mut Criterion) {
     );
     sw.ingress.push_table(tbl);
     let pkt = sw.make_packet(
-        PacketBuilder::new()
+        &PacketBuilder::new()
             .ipv4(Ipv4Address::new(10, 0, 0, 1), Ipv4Address::new(10, 0, 0, 2))
             .udp(1, 1)
             .frame_len(64)
@@ -146,7 +146,7 @@ Q1 = query().reduce(keys=[sport], func=count)
         .udp(1000, 80)
         .frame_len(64)
         .build();
-    let pkt = sw.make_packet(frame);
+    let pkt = sw.make_packet(&frame);
     let mut now = 0u64;
     g.throughput(Throughput::Elements(1));
     g.bench_function("ingress_with_keyed_query", |b| {

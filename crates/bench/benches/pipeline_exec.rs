@@ -29,7 +29,7 @@ fn udp_packet(sw: &mut Switch, sport: u16) -> SimPacket {
         .udp(sport, 80)
         .frame_len(64)
         .build();
-    sw.make_packet(bytes)
+    sw.make_packet(&bytes)
 }
 
 fn bench_program(c: &mut Criterion, name: &'static str) {

@@ -1643,7 +1643,7 @@ fn scaling_run(engines: usize, hops: usize, packets: u64, t_end: u64) -> (Vec<u6
     }
     let ft = ht_asic::FieldTable::new();
     for p in 0..packets {
-        let pkt = ht_asic::SimPacket { phv: ft.new_phv(), body: None, uid: p };
+        let pkt = ht_asic::SimPacket { phv: ft.new_phv(), uid: p };
         w.schedule_rx(ids[(p % hops as u64) as usize], 0, pkt, (p % 64) * 100);
     }
     let events = w.run_until(t_end);

@@ -792,7 +792,7 @@ pub fn build_template_packet(sw: &mut Switch, tpl: &TemplateSpec) -> SimPacket {
         L4Proto::Udp => b.udp(sport, dport),
         L4Proto::None => b,
     };
-    let mut pkt = sw.make_packet(b.build());
+    let mut pkt = sw.make_packet(&b.build());
     pkt.phv.set(&sw.fields, fields::TEMPLATE_ID, u64::from(tpl.id));
     pkt
 }

@@ -46,7 +46,7 @@ mod tests {
 
     fn blank(n: usize) -> Vec<SimPacket> {
         let t = FieldTable::new();
-        (0..n).map(|i| SimPacket { phv: t.new_phv(), body: None, uid: i as u64 }).collect()
+        (0..n).map(|i| SimPacket { phv: t.new_phv(), uid: i as u64 }).collect()
     }
 
     #[test]

@@ -47,7 +47,7 @@ proptest! {
         let sw = world.add_device(Box::new(ht_asic::Switch::new("sw", 1)));
         let ft = ht_asic::FieldTable::new();
         let templates: Vec<ht_asic::SimPacket> = (0..n)
-            .map(|i| ht_asic::SimPacket { phv: ft.new_phv(), body: None, uid: i as u64 })
+            .map(|i| ht_asic::SimPacket { phv: ft.new_phv(), uid: i as u64 })
             .collect();
         let plan = cpu.inject_templates(&mut world, sw, templates, start);
         prop_assert_eq!(plan.times.len(), n);

@@ -96,7 +96,7 @@ mod tests {
         let t = FieldTable::new();
         let mut phv = t.new_phv();
         phv.set(&t, fields::PKT_LEN, len);
-        SimPacket { phv, body: None, uid: 0 }
+        SimPacket { phv, uid: 0 }
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub struct ResponderStats {
 pub struct TcpResponder {
     name: String,
     fields: FieldTable,
-    /// Fixed service delay before each reply.
-    pub service_delay: SimTime,
+    /// Fixed service delay before each reply; also the declared
+    /// lookahead, so it is fixed at construction.
+    service_delay: SimTime,
     /// Data segments sent per request (the "web page" size in packets —
     /// the paper's walkthrough assumes 5).
     pub data_packets: usize,
@@ -66,6 +67,11 @@ impl TcpResponder {
         }
     }
 
+    /// The fixed delay between a request and its (first) reply.
+    pub fn service_delay(&self) -> SimTime {
+        self.service_delay
+    }
+
     fn reply(
         &mut self,
         req: &SimPacket,
@@ -91,7 +97,7 @@ impl TcpResponder {
         let phv = parser::parse(&self.fields, &bytes).expect("self-built frame parses");
         let uid = self.uid_next;
         self.uid_next += 1;
-        SimPacket { phv, body: Some(std::sync::Arc::new(bytes)), uid }
+        SimPacket { phv, uid }
     }
 }
 
@@ -145,6 +151,14 @@ impl Device for TcpResponder {
         ht_asic::sim::DeviceKind::Host
     }
 
+    fn lookahead(&self) -> SimTime {
+        // Every reply leaves no earlier than `now + service_delay`: the
+        // SYN+ACK and FIN+ACK at exactly that, the data burst at that
+        // plus `i · max(service_delay, 1)`.  A zero delay opts out of
+        // windowing, as a zero-delay forwarder does.
+        self.service_delay
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -165,7 +179,7 @@ mod tests {
             .tcp(1024, 80, seq, ack, flags)
             .build();
         let phv = parser::parse(&ft, &bytes).unwrap();
-        SimPacket { phv, body: None, uid: 0 }
+        SimPacket { phv, uid: 0 }
     }
 
     #[test]
@@ -212,6 +226,28 @@ mod tests {
     }
 
     #[test]
+    fn every_reply_honours_the_declared_lookahead() {
+        // The world's windowed batcher trusts `lookahead()`; every reply
+        // path (SYN, PSH data burst, FIN) must leave at or after
+        // `now + lookahead()`, including at a zero delay.
+        for delay in [0, 1, 500_000] {
+            let mut r = TcpResponder::new("srv", delay);
+            assert_eq!(r.lookahead(), delay);
+            assert_eq!(r.service_delay(), delay);
+            let now = 7_000;
+            let mut out = Outbox::default();
+            for flags in [TcpFlags::SYN, TcpFlags::PSH_ACK, TcpFlags::FIN] {
+                r.rx(0, tcp_pkt(flags, 1, 1001), now, &mut out);
+            }
+            assert_eq!(out.emits.len(), 1 + r.data_packets + 1);
+            for (_, _, at) in &out.emits {
+                assert!(*at >= now + r.lookahead(), "delay {delay}: reply at {at}");
+            }
+            assert!(out.wakes.is_empty());
+        }
+    }
+
+    #[test]
     fn non_tcp_is_ignored() {
         let ft = FieldTable::new();
         let bytes = PacketBuilder::new()
@@ -221,7 +257,7 @@ mod tests {
         let phv = parser::parse(&ft, &bytes).unwrap();
         let mut r = TcpResponder::new("srv", 0);
         let mut out = Outbox::default();
-        r.rx(0, SimPacket { phv, body: None, uid: 0 }, 0, &mut out);
+        r.rx(0, SimPacket { phv, uid: 0 }, 0, &mut out);
         assert!(out.emits.is_empty());
         assert_eq!(r.stats.ignored, 1);
     }

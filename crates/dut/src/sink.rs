@@ -188,7 +188,7 @@ mod tests {
         let mut phv = t.new_phv();
         phv.set(&t, fields::PKT_LEN, len);
         phv.set(&t, fields::TCP_DPORT, 80);
-        SimPacket { phv, body: None, uid: 0 }
+        SimPacket { phv, uid: 0 }
     }
 
     #[test]

@@ -18,6 +18,9 @@ use hypertester::ht::{build, distinct_count, Gbps, TesterConfig};
 use hypertester::ntapi::{compile, parse};
 use std::any::Any;
 
+/// How long a host takes to answer a probe (500 ns).
+const SERVICE_DELAY: SimTime = 500_000;
+
 /// Answers SYNs for every 7th address of the scanned range.
 struct SparseResponders {
     answered: std::collections::HashSet<u32>,
@@ -47,7 +50,12 @@ impl Device for SparseResponders {
         phv.set(&self.fields, fields::TCP_DPORT, pkt.phv.get(fields::TCP_SPORT));
         phv.set(&self.fields, fields::TCP_FLAGS, u64::from(TcpFlags::SYN_ACK.0));
         phv.set(&self.fields, fields::TCP_ACK, pkt.phv.get(fields::TCP_SEQ) + 1);
-        out.emit(port, SimPacket { phv, body: None, uid: pkt.uid }, now + 500_000);
+        out.emit(port, SimPacket { phv, uid: pkt.uid }, now + SERVICE_DELAY);
+    }
+
+    fn lookahead(&self) -> SimTime {
+        // Every SYN+ACK leaves exactly the service delay after its probe.
+        SERVICE_DELAY
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -9,7 +9,7 @@ use hypertester::asic::table::{MatchKind, Table};
 use hypertester::asic::time::ms;
 use hypertester::asic::{LinkSpec, Switch, World};
 use hypertester::cpu::SwitchCpu;
-use hypertester::dut::Sink;
+use hypertester::dut::{Sink, TcpResponder};
 use hypertester::ht::{build, distinct_count, global_value, Gbps, TesterConfig};
 use hypertester::ntapi::{compile, compile_with, parse, CompileOptions, NtapiError};
 
@@ -217,4 +217,47 @@ fn rejection_paths() {
         let err = compile(&parse(src).unwrap()).unwrap_err();
         assert!(check(&err), "{src} → {err}");
     }
+}
+
+/// The scan topology (switch ↔ `TcpResponder` over a 1 µs link) run by
+/// `run_until`, whose lookahead windows batch switch and responder events
+/// together, must replay the one-event-at-a-time `World::step` loop
+/// exactly: the same events in the same order, and the same responder
+/// and switch counters.
+#[test]
+fn windowed_scan_matches_single_stepping() {
+    let src = r#"
+T1 = trigger().set([sip, dport, proto, flag, seq_no], [10.0.0.1, 80, tcp, SYN, 1])
+    .set(dip, range(10.1.0.1, 10.1.1.254, 1))
+    .set([loop, interval], [1, 100ns])
+Q1 = query().filter(tcp_flag == SYN+ACK).distinct(keys=[sip])
+"#;
+    let task = compile(&parse(src).unwrap()).unwrap();
+    let setup = || {
+        let mut tester =
+            build(&task, &TesterConfig::builder().ports(1).speed(Gbps(100)).build().unwrap())
+                .unwrap();
+        let templates = tester.template_copies(0, 8);
+        let mut world = World::builder().seed(3).trace(1 << 20).build().unwrap();
+        let sw = world.add_device(Box::new(tester.switch));
+        let hosts = world.add_device(Box::new(TcpResponder::new("hosts", 500_000)));
+        world.link((sw, 0), (hosts, 0), LinkSpec::new().delay(1_000_000));
+        SwitchCpu::new().inject_templates(&mut world, sw, templates, 0);
+        (world, sw, hosts)
+    };
+
+    let (mut windowed, sw, hosts) = setup();
+    let n = windowed.run_until(ms(1) / 5);
+    let (mut serial, _, _) = setup();
+    for _ in 0..n {
+        assert!(serial.step());
+    }
+
+    let stats = windowed.device::<TcpResponder>(hosts).stats;
+    assert!(stats.syns > 400, "the sweep reached the responder: {stats:?}");
+    assert_eq!(stats, serial.device::<TcpResponder>(hosts).stats);
+    assert_eq!(windowed.device::<Switch>(sw).counters, serial.device::<Switch>(sw).counters);
+    assert_eq!(windowed.trace().len() as u64, n, "the trace holds every event");
+    assert!(windowed.trace() == serial.trace(), "event order diverged");
+    assert_eq!(windowed.stats, serial.stats);
 }
