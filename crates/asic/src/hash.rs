@@ -455,8 +455,11 @@ mod tests {
             }
 
             let mut c8 = Crc32FoldX8::castagnoli();
-            for i in 0..keys[0].len() {
-                c8.fold8(std::array::from_fn(|lane| keys[lane][i].to_be_bytes()));
+            // One eight-lane column of big-endian bytes per key word.
+            let columns = (0..keys[0].len())
+                .map(|i| std::array::from_fn(|lane| keys[lane][i].to_be_bytes()));
+            for column in columns {
+                c8.fold8(column);
             }
             let batch_c = c8.finish();
             for lane in 0..8 {

@@ -245,6 +245,33 @@ T1 = trigger().set([dip, proto], [10.0.0.2, udp]).set(pkt_len, 64)
 }
 
 #[test]
+fn uniform_draw_header_space_is_what_the_wire_carries() {
+    // random(uniform, 65530, 65536) spans 8 draws from 65530: the last two
+    // wrap to sport 0 and 1 on the wire.  The fp precompute's header space
+    // must list exactly the values the switch edit produces.
+    let src = r#"
+T1 = trigger().set([dip, proto], [10.0.0.2, udp]).set(pkt_len, 64)
+    .set(sport, random(uniform, 65530, 65536, 8)).set(interval, 1us)
+"#;
+    let (mut w, _sw, sk) = testbed(src, 4, Sink::new("sink").capturing(vec![fields::UDP_SPORT]));
+    w.run_until(ms(1));
+    let sink: &Sink = w.device(sk);
+    assert!(sink.captured.len() > 500, "{} packets", sink.captured.len());
+    let wire: std::collections::BTreeSet<Vec<u64>> =
+        sink.captured.iter().map(|(_, _, vals)| vec![vals[0]]).collect();
+    let task = compile(&parse(src).unwrap()).unwrap();
+    let space = ht_ntapi::headerspace::global_space(
+        &task.templates,
+        &[ht_ntapi::ast::HeaderField::Sport],
+        false,
+    )
+    .unwrap();
+    let space: std::collections::BTreeSet<Vec<u64>> = space.to_rows().into_iter().collect();
+    assert_eq!(space, wire);
+    assert!(wire.contains(&vec![0]) && wire.contains(&vec![1]), "draws wrap: {wire:?}");
+}
+
+#[test]
 fn random_normal_editor_matches_distribution() {
     let src = r#"
 T1 = trigger().set([dip, proto], [10.0.0.2, udp]).set(pkt_len, 64)

@@ -5,9 +5,20 @@
 //! backend sizes its register arrays from it, and the compiler's
 //! false-positive precompute (`ht-ntapi`'s `fp` module) enumerates
 //! colliding key pairs with it.
+//!
+//! The scalar hashes ([`HashConfig::digest`], [`HashConfig::h1`],
+//! [`HashConfig::h2`], and the fused [`HashConfig::triple`]) are the data
+//! plane's definition.  The precompute hashes a whole space through
+//! [`HashConfig::digest_h1_batch`] instead: one packed `(digest, h1)` word
+//! per key, with `h2` left to be derived once per digest group from
+//! `h2 = h1 ^ alt_bucket(0, digest)`.
 
 use crate::KeySpace;
 use ht_asic::hash::{crc32_words_x8, hash_words, Crc32Fold, HashAlgo};
+
+/// FNV-1a 64-bit offset basis and prime (the digest hash).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Hash configuration of one compiled query's cuckoo engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,75 +57,76 @@ impl HashConfig {
     /// Computes `(digest, h1, h2)` of a key in one pass.
     ///
     /// `digest`, `h1`, and `h2` called separately walk the key bytes five
-    /// times (`h2` recomputes both of the others internally); the
-    /// false-positive precompute hashes millions of keys, so this fuses
+    /// times (`h2` recomputes both of the others internally); this fuses
     /// the FNV-1a digest and the CRC-32 bucket into a single byte walk
     /// and derives `h2` from the invariant
     /// `h2 = alt_bucket(h1, digest)` — one extra 8-byte CRC-32C over the
     /// digest instead of a third pass over the key.
     pub fn triple(&self, key: &[u64]) -> (u64, u64, u64) {
+        let (digest, h1) = self.digest_h1(key);
+        (digest, h1, self.alt_bucket(h1, digest))
+    }
+
+    /// `(digest, h1)` of a key in one walk over its bytes.
+    fn digest_h1(&self, key: &[u64]) -> (u64, u64) {
         let mut crc = Crc32Fold::ieee();
-        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fnv: u64 = FNV_OFFSET;
         for w in key {
             let bytes = w.to_be_bytes();
             crc.fold8(bytes);
             for b in bytes {
-                fnv ^= u64::from(b);
-                fnv = fnv.wrapping_mul(0x0000_0100_0000_01b3);
+                fnv = (fnv ^ u64::from(b)).wrapping_mul(FNV_PRIME);
             }
         }
-        let digest = fnv & ((1u64 << self.digest_bits) - 1);
-        let h1 = u64::from(crc.finish()) & ((1 << self.array_bits) - 1);
-        (digest, h1, self.alt_bucket(h1, digest))
+        (fnv & self.digest_mask(), u64::from(crc.finish()) & self.bucket_mask())
     }
 
-    /// [`triple`](Self::triple) over every key of a space, eight keys at
-    /// a time through the interleaved CRC fold
-    /// ([`Crc32FoldX8`](ht_asic::hash::Crc32FoldX8)).
+    /// The packed `(digest, h1)` word of every key of a space, in index
+    /// order: `digest << 32 | h1`.
     ///
-    /// Identical output to mapping `triple` over `space.iter()`; the
-    /// false-positive precompute calls this on key spaces of tens of
-    /// millions of keys, where the independent CRC chains roughly halve
-    /// the hashing wall time versus the scalar fold.  The FNV-1a digest
-    /// chains are interleaved the same way: eight accumulators advance in
-    /// lockstep per key word, so the digest multiply latency overlaps
-    /// across lanes instead of serialising per key.
-    pub fn triple_batch(&self, space: &KeySpace) -> Vec<(u64, u64, u64)> {
-        let n = space.len();
-        let mut out = Vec::with_capacity(n);
-        let digest_mask = (1u64 << self.digest_bits) - 1;
-        let h1_mask = (1u64 << self.array_bits) - 1;
-        let width = space.width();
-        let mut i = 0;
-        while i + 8 <= n {
-            let keys: [&[u64]; 8] = std::array::from_fn(|l| space.key(i + l));
-            let crcs = crc32_words_x8(keys);
-            let mut fnv = [0xcbf2_9ce4_8422_2325u64; 8];
-            for w in 0..width {
-                for (lane, key) in keys.iter().enumerate() {
-                    for b in key[w].to_be_bytes() {
-                        fnv[lane] ^= u64::from(b);
-                        fnv[lane] = fnv[lane].wrapping_mul(0x0000_0100_0000_01b3);
+    /// This is the false-positive precompute's only pass over the keys.
+    /// `h2` is left out: within one digest group it is `h1` XOR a
+    /// per-digest constant (`alt_bucket(0, digest)`), so the precompute
+    /// derives it once per group instead of once per key.  Keys go eight
+    /// at a time through the interleaved CRC fold
+    /// ([`Crc32FoldX8`](ht_asic::hash::Crc32FoldX8)), and eight FNV-1a
+    /// accumulators advance in lockstep per key word so the digest
+    /// multiply latency overlaps across lanes; the remainder goes through
+    /// the scalar fold.  Identical to packing `(digest(k), h1(k))`.
+    ///
+    /// # Panics
+    /// If `digest_bits > 32` (the packed word has 32 bits for each half;
+    /// `h1` is a CRC-32 and always fits).
+    pub fn digest_h1_batch(&self, space: &KeySpace) -> Vec<u64> {
+        assert!(self.digest_bits <= 32, "packed (digest, h1) words need digest_bits <= 32");
+        let pack = |(digest, h1): (u64, u64)| digest << 32 | h1;
+        let (digest_mask, bucket_mask) = (self.digest_mask(), self.bucket_mask());
+        let mut keys = space.iter();
+        let mut out = Vec::with_capacity(space.len());
+        for _ in 0..space.len() / 8 {
+            let lanes: [&[u64]; 8] = std::array::from_fn(|_| keys.next().expect("eight keys"));
+            let crcs = crc32_words_x8(lanes);
+            let mut fnv = [FNV_OFFSET; 8];
+            for w in 0..space.width() {
+                let bytes = lanes.map(|key| key[w].to_be_bytes());
+                for b in 0..8 {
+                    for (acc, lane) in fnv.iter_mut().zip(&bytes) {
+                        *acc = (*acc ^ u64::from(lane[b])).wrapping_mul(FNV_PRIME);
                     }
                 }
             }
-            for lane in 0..8 {
-                let digest = fnv[lane] & digest_mask;
-                let h1 = u64::from(crcs[lane]) & h1_mask;
-                out.push((digest, h1, self.alt_bucket(h1, digest)));
+            for (acc, crc) in fnv.into_iter().zip(crcs) {
+                out.push(pack((acc & digest_mask, u64::from(crc) & bucket_mask)));
             }
-            i += 8;
         }
-        for j in i..n {
-            out.push(self.triple(space.key(j)));
-        }
+        out.extend(keys.map(|key| pack(self.digest_h1(key))));
         out
     }
 
     /// The alternate bucket of a stored `(bucket, digest)` pair — usable
     /// during eviction without knowing the full key.
     pub fn alt_bucket(&self, bucket: u64, digest: u64) -> u64 {
-        let mask = (1u64 << self.array_bits) - 1;
+        let mask = self.bucket_mask();
         let off = hash_words(HashAlgo::Crc32c, &[digest]) & mask;
         // A zero offset would make h2 == h1 (one candidate bucket); force a
         // non-zero offset the way cuckoo-filter implementations do.
@@ -130,14 +142,21 @@ impl HashConfig {
     /// CRC with a custom polynomial; the reproduction stands in FNV-1a,
     /// which is non-linear in the key bytes.
     pub fn digest(&self, key: &[u64]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h: u64 = FNV_OFFSET;
         for w in key {
             for b in w.to_be_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
             }
         }
-        h & ((1u64 << self.digest_bits) - 1)
+        h & self.digest_mask()
+    }
+
+    fn digest_mask(&self) -> u64 {
+        (1u64 << self.digest_bits) - 1
+    }
+
+    fn bucket_mask(&self) -> u64 {
+        (1u64 << self.array_bits) - 1
     }
 
     /// Memory of one exact-match entry in bits: full key + action.
@@ -178,30 +197,59 @@ mod tests {
     }
 
     #[test]
-    fn triple_batch_matches_scalar_triple() {
+    fn alt_bucket_is_the_bucket_xor_a_per_digest_offset() {
+        // The precompute derives h2 once per digest group from this.
+        for cfg in [HashConfig::default(), HashConfig { array_bits: 4, digest_bits: 32 }] {
+            for digest in [0u64, 1, 77, (1 << cfg.digest_bits) - 1] {
+                let offset = cfg.alt_bucket(0, digest);
+                assert_ne!(offset, 0, "two distinct candidate buckets");
+                for bucket in [0u64, 5, (1 << cfg.array_bits) - 1] {
+                    assert_eq!(cfg.alt_bucket(bucket, digest), bucket ^ offset);
+                }
+            }
+        }
+    }
+
+    /// `(digest, h1)` packed the way `digest_h1_batch` packs it.
+    fn packed(cfg: &HashConfig, key: &[u64]) -> u64 {
+        cfg.digest(key) << 32 | cfg.h1(key)
+    }
+
+    #[test]
+    fn digest_h1_batch_matches_scalar_hashes() {
         // 19 keys: two full x8 blocks plus a 3-key scalar tail.
-        for cfg in [HashConfig::default(), HashConfig { array_bits: 14, digest_bits: 10 }] {
+        for cfg in [
+            HashConfig::default(),
+            HashConfig { array_bits: 14, digest_bits: 10 },
+            HashConfig { array_bits: 20, digest_bits: 32 },
+        ] {
             let mut space = KeySpace::new(2);
             for i in 0..19u64 {
                 space.push(&[i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 80 + i]);
             }
-            let batch = cfg.triple_batch(&space);
-            let scalar: Vec<_> = space.iter().map(|k| cfg.triple(k)).collect();
+            let batch = cfg.digest_h1_batch(&space);
+            let scalar: Vec<u64> = space.iter().map(|k| packed(&cfg, k)).collect();
             assert_eq!(batch, scalar);
         }
     }
 
     #[test]
-    fn triple_batch_handles_tiny_spaces() {
+    fn digest_h1_batch_handles_tiny_spaces() {
         let cfg = HashConfig::default();
         for n in 0..8u64 {
             let mut space = KeySpace::new(1);
             for i in 0..n {
                 space.push(&[i]);
             }
-            let batch = cfg.triple_batch(&space);
-            let scalar: Vec<_> = space.iter().map(|k| cfg.triple(k)).collect();
+            let batch = cfg.digest_h1_batch(&space);
+            let scalar: Vec<u64> = space.iter().map(|k| packed(&cfg, k)).collect();
             assert_eq!(batch, scalar);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "digest_bits <= 32")]
+    fn digest_h1_batch_rejects_wide_digests() {
+        HashConfig { array_bits: 16, digest_bits: 33 }.digest_h1_batch(&KeySpace::new(1));
     }
 }

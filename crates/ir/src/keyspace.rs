@@ -6,6 +6,11 @@
 //! all keys in a single contiguous buffer with the width factored out, so
 //! building and iterating a two-million-key space touches exactly one
 //! allocation and rows are handed out as `&[u64]` slices.
+//!
+//! Header spaces are built ascending and duplicate-free, so their union
+//! ([`KeySpace::union_sorted`]) is a merge that copies whole runs of rows
+//! rather than a sort: a part that sorts entirely before the other costs
+//! one `memcpy`, and a single part is returned as is.
 
 use std::cmp::Ordering;
 
@@ -33,6 +38,15 @@ impl KeySpace {
         KeySpace { width, len: 0, buf: Vec::with_capacity(width * keys) }
     }
 
+    /// A space over an existing flat buffer of `buf.len() / width` keys.
+    ///
+    /// # Panics
+    /// If `width` is zero or does not divide `buf.len()`.
+    pub fn from_flat(width: usize, buf: Vec<u64>) -> Self {
+        assert!(width > 0 && buf.len().is_multiple_of(width), "flat buffer is not whole keys");
+        KeySpace { width, len: buf.len() / width, buf }
+    }
+
     /// Appends one key.
     ///
     /// # Panics
@@ -41,16 +55,6 @@ impl KeySpace {
         assert_eq!(key.len(), self.width, "key width mismatch");
         self.buf.extend_from_slice(key);
         self.len += 1;
-    }
-
-    /// Appends every key of `other`.
-    ///
-    /// # Panics
-    /// If the widths differ.
-    pub fn extend_from_space(&mut self, other: &KeySpace) {
-        assert_eq!(other.width, self.width, "key width mismatch");
-        self.buf.extend_from_slice(&other.buf[..other.len * other.width]);
-        self.len += other.len;
     }
 
     /// Number of keys.
@@ -101,33 +105,106 @@ impl KeySpace {
         self.iter().map(<[u64]>::to_vec).collect()
     }
 
-    /// Sorts the keys lexicographically and removes duplicates, matching
-    /// `Vec<Vec<u64>>`'s `sort_unstable(); dedup()` row order.
-    pub fn sort_dedup(&mut self) {
-        let mut order: Vec<u32> = (0..self.len as u32).collect();
-        order.sort_unstable_by(|&a, &b| cmp_rows(&self.buf, self.width, a as usize, b as usize));
-        let mut out = Vec::with_capacity(self.buf.len());
-        let mut kept = 0usize;
-        let mut prev: Option<usize> = None;
-        for &i in &order {
-            let i = i as usize;
-            if let Some(p) = prev {
-                if cmp_rows(&self.buf, self.width, p, i) == Ordering::Equal {
-                    continue;
-                }
-            }
-            out.extend_from_slice(&self.buf[i * self.width..(i + 1) * self.width]);
-            kept += 1;
-            prev = Some(i);
+    /// The union of spaces whose keys each ascend strictly
+    /// (lexicographically, without duplicates); the result ascends
+    /// strictly too — the same rows, in the same order, as concatenating
+    /// the parts, sorting and deduplicating.
+    ///
+    /// Parts merge pairwise in a balanced tree, so `k` parts of `n` keys in
+    /// total cost `O(n log k)` row copies.  Each pairwise merge copies
+    /// whole runs: it gallops to the end of the run of one side that sorts
+    /// below the other side's head and appends those rows in one slice
+    /// copy.  A lone part is returned without copying.
+    ///
+    /// # Panics
+    /// If a part's width differs from `width`.  An unsorted part is a logic
+    /// error caught only by debug assertions.
+    pub fn union_sorted(width: usize, parts: Vec<KeySpace>) -> KeySpace {
+        let mut parts: Vec<KeySpace> = parts.into_iter().filter(|p| !p.is_empty()).collect();
+        for p in &parts {
+            assert_eq!(p.width, width, "key width mismatch");
+            debug_assert!(p.is_strictly_ascending(), "union_sorted needs ascending parts");
         }
-        self.buf = out;
-        // Zero-width keys are all equal, so `kept` is at most 1 there too.
-        self.len = kept;
+        while parts.len() > 1 {
+            let mut next = Vec::with_capacity(parts.len().div_ceil(2));
+            let mut it = parts.into_iter();
+            while let Some(a) = it.next() {
+                next.push(match it.next() {
+                    Some(b) => union2(&a, &b),
+                    None => a,
+                });
+            }
+            parts = next;
+        }
+        parts.pop().unwrap_or_else(|| KeySpace::new(width))
+    }
+
+    /// Whether every key is strictly greater than the one before it.
+    pub fn is_strictly_ascending(&self) -> bool {
+        (1..self.len).all(|i| self.key(i - 1) < self.key(i))
+    }
+
+    /// Appends keys `from..to` of `other` in one slice copy.
+    fn extend_rows(&mut self, other: &KeySpace, from: usize, to: usize) {
+        self.buf.extend_from_slice(&other.buf[from * other.width..to * other.width]);
+        self.len += to - from;
+    }
+
+    /// The first index at or after `from` whose key is not below `bound`,
+    /// given that the keys ascend and `key(from) < bound`.  Gallops, so a
+    /// run of `r` keys costs `O(log r)` comparisons.
+    fn run_end(&self, from: usize, bound: &[u64]) -> usize {
+        // Invariant: row(lo) < bound, and hi == len or row(hi) >= bound.
+        let (mut lo, mut step) = (from, 1);
+        let mut hi = loop {
+            let probe = lo + step;
+            if probe >= self.len {
+                break self.len;
+            }
+            if self.key(probe) >= bound {
+                break probe;
+            }
+            lo = probe;
+            step *= 2;
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid) < bound {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        hi
     }
 }
 
-fn cmp_rows(buf: &[u64], width: usize, a: usize, b: usize) -> Ordering {
-    buf[a * width..(a + 1) * width].cmp(&buf[b * width..(b + 1) * width])
+/// The union of two strictly ascending spaces of one width.
+fn union2(a: &KeySpace, b: &KeySpace) -> KeySpace {
+    let mut out = KeySpace::with_capacity(a.width, a.len + b.len);
+    let (mut i, mut j) = (0, 0);
+    while i < a.len && j < b.len {
+        match a.key(i).cmp(b.key(j)) {
+            Ordering::Less => {
+                let end = a.run_end(i, b.key(j));
+                out.extend_rows(a, i, end);
+                i = end;
+            }
+            Ordering::Greater => {
+                let end = b.run_end(j, a.key(i));
+                out.extend_rows(b, j, end);
+                j = end;
+            }
+            Ordering::Equal => {
+                out.extend_rows(a, i, i + 1);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_rows(a, i, a.len);
+    out.extend_rows(b, j, b.len);
+    out
 }
 
 #[cfg(test)]
@@ -154,15 +231,64 @@ mod tests {
         assert_eq!(s.to_rows(), rows);
     }
 
+    /// Sorted, deduplicated rows: the reference `union_sorted` must match.
+    fn sorted_union(parts: &[Vec<Vec<u64>>]) -> Vec<Vec<u64>> {
+        let mut all: Vec<Vec<u64>> = parts.concat();
+        all.sort_unstable();
+        all.dedup();
+        all
+    }
+
+    fn ascending(mut rows: Vec<Vec<u64>>) -> KeySpace {
+        rows.sort_unstable();
+        rows.dedup();
+        KeySpace::from_rows(&rows)
+    }
+
     #[test]
-    fn sort_dedup_matches_vec_of_rows() {
-        let rows = vec![vec![3u64, 1], vec![1, 2], vec![3, 1], vec![1, 1], vec![1, 2]];
-        let mut s = KeySpace::from_rows(&rows);
-        s.sort_dedup();
-        let mut expected = rows;
-        expected.sort_unstable();
-        expected.dedup();
-        assert_eq!(s.to_rows(), expected);
+    fn union_sorted_matches_sort_dedup_of_rows() {
+        let parts = vec![
+            vec![vec![1u64, 2], vec![3, 1], vec![5, 0]],
+            vec![vec![1, 1], vec![1, 2], vec![3, 1], vec![9, 9]],
+            vec![vec![0, 0]],
+            vec![],
+            vec![vec![2, 0], vec![4, 0], vec![5, 0], vec![6, 0]],
+        ];
+        let spaces: Vec<KeySpace> = parts.iter().map(|p| ascending(p.clone())).collect();
+        let u = KeySpace::union_sorted(2, spaces);
+        assert_eq!(u.to_rows(), sorted_union(&parts));
+        assert!(u.is_strictly_ascending());
+    }
+
+    #[test]
+    fn union_sorted_copies_long_runs_and_interleaves() {
+        // One part entirely below the other, one interleaved row by row,
+        // and one sharing a single key with a long run.
+        let evens: Vec<Vec<u64>> = (0..500).map(|i| vec![2 * i]).collect();
+        let odds: Vec<Vec<u64>> = (0..500).map(|i| vec![2 * i + 1]).collect();
+        let high: Vec<Vec<u64>> = (1000..3000).map(|i| vec![i]).collect();
+        let probe = vec![vec![1500u64]];
+        let parts = vec![evens, odds, high, probe];
+        let spaces: Vec<KeySpace> = parts.iter().map(|p| KeySpace::from_rows(p)).collect();
+        let u = KeySpace::union_sorted(1, spaces);
+        assert_eq!(u.to_rows(), sorted_union(&parts));
+        assert_eq!(u.len(), 3000);
+    }
+
+    #[test]
+    fn union_sorted_of_nothing_is_empty() {
+        let u = KeySpace::union_sorted(3, vec![]);
+        assert!(u.is_empty());
+        assert_eq!(u.width(), 3);
+        let lone = KeySpace::from_rows(&[vec![4u64], vec![7]]);
+        assert_eq!(KeySpace::union_sorted(1, vec![KeySpace::new(1), lone.clone()]), lone);
+    }
+
+    #[test]
+    fn from_flat_splits_whole_keys() {
+        let s = KeySpace::from_flat(2, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.key(2), &[5, 6]);
     }
 
     #[test]
@@ -173,8 +299,10 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.key(1), &[] as &[u64]);
         assert_eq!(s.iter().count(), 2);
-        s.sort_dedup();
-        assert_eq!(s.len(), 1, "zero-width keys are all duplicates");
+        let mut one = KeySpace::new(0);
+        one.push(&[]);
+        let u = KeySpace::union_sorted(0, vec![one.clone(), one]);
+        assert_eq!(u.len(), 1, "zero-width keys are all duplicates");
     }
 
     #[test]

@@ -11,12 +11,29 @@
 //! false-positive-free.
 //!
 //! [`compute_fp_indices`] implements the precompute over a flat
-//! [`KeySpace`], hashing each key exactly once via
-//! `HashConfig::triple_batch` (eight keys per iteration through the
-//! interleaved CRC fold) and grouping by digest with a counting sort (no
-//! hash map, no per-key allocation); [`compute_fp_entries`] is the
-//! row-cloning compatibility wrapper.  The Fig. 17 experiment measures the diverted-entry count
-//! against the flow count, array size and digest width.
+//! [`KeySpace`] as three sequential passes over compact words:
+//!
+//! 1. **Hash.** `HashConfig::digest_h1_batch` walks the keys once (eight
+//!    at a time through the interleaved CRC fold) and writes one packed
+//!    `digest << 32 | h1` word per key.
+//! 2. **Group.** A stable sort by digest places `h1 << 32 | index`
+//!    records in digest order, index order within a digest: a counting
+//!    sort for digests of up to 20 bits, a
+//!    comparison sort of `digest << 32 | index` keys above that (keeping
+//!    records only for digests shared by two or more keys).
+//! 3. **Scan.** Each digest group is read in order.  Its alternate-bucket
+//!    offset is computed once, since `h2 = h1 ^ alt_bucket(0, digest)`,
+//!    and a bitset of the buckets the group's kept keys claim decides each
+//!    key; the bits are cleared through a list of the words touched.
+//!
+//! No hash map, no per-key allocation, no random reads into per-key
+//! state: 8 bytes per key for the packed words, 8 for the records, plus
+//! the keys themselves (8 bytes per key field).  [`compute_fp_entries`] is the row-cloning
+//! compatibility wrapper.  The Fig. 17 experiment measures the
+//! diverted-entry count against the flow count, array size and digest
+//! width.
+
+use std::ops::Range;
 
 // `HashConfig` moved to `ht-ir` (it is carried by the IR's `FpConfig` and
 // consumed by every backend); re-exported here under its original path,
@@ -27,75 +44,118 @@ pub use ht_ir::{HashConfig, KeySpace};
 /// counter array is 4 MB); wider digests fall back to a comparison sort.
 const COUNTING_SORT_MAX_BITS: u32 = 20;
 
+/// Low 32 bits of a packed word.
+const LOW: u64 = 0xffff_ffff;
+
 /// Computes the exact-key-matching entries for a key space, returned as
 /// sorted indices into `space`: for every pair of distinct keys with equal
 /// digests and overlapping candidate buckets, one key is diverted to the
 /// exact table.
 ///
-/// Runs in `O(n)` expected time by grouping keys per digest (false-positive
-/// pairs are rare by construction, so groups are tiny).  Each key is hashed
-/// once (`HashConfig::triple`); grouping is a stable counting sort over the
-/// digest value, so the greedy within-group scan sees keys in index order —
-/// the same diverted set the original per-group hash-map formulation
-/// produced.
+/// Within a digest group, keys are taken in index order; a key is diverted
+/// when one of its two buckets is already claimed by a key kept earlier in
+/// the group (the paper: "puts either tcp.dp=80 or tcp.dp=81 in the exact
+/// key matching table"), and kept — claiming both buckets — otherwise.
+/// Runs in `O(n)` time for digests of up to 20 bits (`O(n log n)`
+/// above); false-positive pairs are rare by construction, so groups are
+/// tiny.
+///
+/// # Panics
+/// If `cfg.digest_bits > 32` or the space has `2^32` keys or more.
 pub fn compute_fp_indices(space: &KeySpace, cfg: &HashConfig) -> Vec<usize> {
     let n = space.len();
     ht_asic::sim::metrics::record_fp_keys(n as u64);
-
-    // One fused pass: (digest, h1, h2) per key, eight keys at a time
-    // through the interleaved CRC fold.
-    let trips: Vec<(u64, u64, u64)> = cfg.triple_batch(space);
-
-    // Key indices grouped by digest, stable (index order within a group).
-    let order: Vec<u32> = if cfg.digest_bits <= COUNTING_SORT_MAX_BITS {
-        let buckets = 1usize << cfg.digest_bits;
-        let mut counts = vec![0u32; buckets + 1];
-        for t in &trips {
-            counts[t.0 as usize + 1] += 1;
-        }
-        for i in 1..=buckets {
-            counts[i] += counts[i - 1];
-        }
-        let mut order = vec![0u32; n];
-        for (i, t) in trips.iter().enumerate() {
-            let slot = &mut counts[t.0 as usize];
-            order[*slot as usize] = i as u32;
-            *slot += 1;
-        }
-        order
+    assert!(u32::try_from(n).is_ok(), "key indices must fit the 32-bit record half");
+    let words = cfg.digest_h1_batch(space);
+    if cfg.digest_bits <= COUNTING_SORT_MAX_BITS {
+        let (recs, ends) = counting_group(&words, cfg.digest_bits);
+        let mut start = 0;
+        let groups = ends.iter().enumerate().map(|(digest, &end)| {
+            let range = start..end as usize;
+            start = end as usize;
+            (digest as u64, range)
+        });
+        divert(&recs, groups, cfg)
     } else {
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&i| (trips[i as usize].0, i));
-        order
-    };
+        let (recs, groups) = comparison_group(&words);
+        divert(&recs, groups.into_iter(), cfg)
+    }
+}
 
-    let mut diverted: Vec<usize> = Vec::new();
-    let mut kept: Vec<(u64, u64)> = Vec::new();
-    let mut g = 0;
-    while g < n {
-        let digest = trips[order[g] as usize].0;
-        let mut end = g + 1;
-        while end < n && trips[order[end] as usize].0 == digest {
-            end += 1;
-        }
-        if end - g >= 2 {
-            // Within a digest group, a pair is dangerous when their
-            // candidate bucket sets intersect.  Greedily divert the later
-            // key of each dangerous pair (the paper: "puts either
-            // tcp.dp=80 or tcp.dp=81 in the exact key matching table").
-            kept.clear();
-            for &i in &order[g..end] {
-                let (_, h1, h2) = trips[i as usize];
-                let collides =
-                    kept.iter().any(|&(k1, k2)| h1 == k1 || h1 == k2 || h2 == k1 || h2 == k2);
-                if collides {
-                    diverted.push(i as usize);
-                } else {
-                    kept.push((h1, h2));
+/// Counting sort of the packed words by digest: `h1 << 32 | index`
+/// records in digest order (index order within a digest), and the end of
+/// each digest's run of records, indexed by digest.
+fn counting_group(words: &[u64], digest_bits: u32) -> (Vec<u64>, Vec<u32>) {
+    let mut next = vec![0u32; 1 << digest_bits];
+    for &w in words {
+        next[(w >> 32) as usize] += 1;
+    }
+    let mut sum = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = sum;
+        sum += count;
+    }
+    let mut recs = vec![0u64; words.len()];
+    for (i, &w) in words.iter().enumerate() {
+        let slot = &mut next[(w >> 32) as usize];
+        recs[*slot as usize] = (w & LOW) << 32 | i as u64;
+        *slot += 1;
+    }
+    // Each digest's cursor now sits at the end of its run.
+    (recs, next)
+}
+
+/// Comparison sort of the packed words by digest: `h1 << 32 | index`
+/// records of every digest shared by two or more keys (index order within
+/// a digest), and each such digest with its range of records.
+fn comparison_group(words: &[u64]) -> (Vec<u64>, Vec<(u64, Range<usize>)>) {
+    // Sorting `digest << 32 | index` orders by digest, then index.
+    let mut keyed: Vec<u64> = words.iter().enumerate().map(|(i, &w)| w & !LOW | i as u64).collect();
+    keyed.sort_unstable();
+    let mut recs = Vec::new();
+    let mut groups = Vec::new();
+    for run in keyed.chunk_by(|a, b| a >> 32 == b >> 32).filter(|run| run.len() >= 2) {
+        let start = recs.len();
+        recs.extend(run.iter().map(|&k| (words[(k & LOW) as usize] & LOW) << 32 | k & LOW));
+        groups.push((run[0] >> 32, start..recs.len()));
+    }
+    (recs, groups)
+}
+
+/// The greedy diversion over digest groups of `h1 << 32 | index` records:
+/// returns the diverted indices, sorted.
+///
+/// `claimed` holds one bit per bucket (`2^array_bits` bits, 1/256 of the
+/// cuckoo registers the same configuration allocates); it is exact, so a
+/// key collides precisely when `{h1, h2}` meets the buckets of the keys
+/// its group has kept.
+fn divert(
+    recs: &[u64],
+    groups: impl Iterator<Item = (u64, Range<usize>)>,
+    cfg: &HashConfig,
+) -> Vec<usize> {
+    let mut claimed = vec![0u64; (1usize << cfg.array_bits).div_ceil(64)];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut diverted = Vec::new();
+    for (digest, range) in groups.filter(|(_, range)| range.len() >= 2) {
+        // h2 = alt_bucket(h1, digest) = h1 ^ alt_bucket(0, digest).
+        let offset = cfg.alt_bucket(0, digest);
+        for &r in &recs[range] {
+            let h1 = r >> 32;
+            let buckets = [h1 as usize, (h1 ^ offset) as usize];
+            if buckets.iter().any(|&b| (claimed[b / 64] >> (b % 64)) & 1 == 1) {
+                diverted.push((r & LOW) as usize);
+            } else {
+                for b in buckets {
+                    claimed[b / 64] |= 1 << (b % 64);
+                    touched.push(b / 64);
                 }
             }
         }
-        g = end;
+        for w in touched.drain(..) {
+            claimed[w] = 0;
+        }
     }
     diverted.sort_unstable();
     diverted
@@ -125,7 +185,69 @@ pub fn is_false_positive_pair(a: &[u64], b: &[u64], cfg: &HashConfig) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// The precompute in its original formulation, as the differential
+    /// oracle: per-digest groups in index order, each key hashed to its
+    /// full `(digest, h1, h2)` triple and diverted when `{h1, h2}` meets a
+    /// bucket of a key already kept in its group (a linear `kept` scan).
+    fn reference_indices(space: &KeySpace, cfg: &HashConfig) -> Vec<usize> {
+        let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (i, key) in space.iter().enumerate() {
+            groups.entry(cfg.digest(key)).or_default().push(i);
+        }
+        let mut diverted = Vec::new();
+        for members in groups.values() {
+            let mut kept: Vec<(u64, u64)> = Vec::new();
+            for &i in members {
+                let (_, h1, h2) = cfg.triple(space.key(i));
+                if kept.iter().any(|&(k1, k2)| h1 == k1 || h1 == k2 || h2 == k1 || h2 == k2) {
+                    diverted.push(i);
+                } else {
+                    kept.push((h1, h2));
+                }
+            }
+        }
+        diverted.sort_unstable();
+        diverted
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `compute_fp_indices` diverts exactly the keys the original
+        /// formulation diverts, through both grouping sorts (digests of
+        /// 8–20 bits count, 21 and 32 compare), bucket arrays from 16 to
+        /// 2^20 slots, and key counts that leave a scalar hashing tail.
+        /// Narrow field domains repeat keys, so every digest width sees
+        /// multi-key groups.
+        #[test]
+        fn matches_the_original_formulation(
+            digest_bits in prop::sample::select(vec![8u32, 16, 20, 21, 32]),
+            array_bits in prop::sample::select(vec![4u32, 10, 16, 20]),
+            width in 1usize..=3,
+            (blocks, tail) in (0usize..300, 1usize..8),
+            domain_bits in prop::sample::select(vec![4u32, 12, 64]),
+            seed in any::<u64>(),
+        ) {
+            let cfg = HashConfig { array_bits, digest_bits };
+            let mask = if domain_bits == 64 { u64::MAX } else { (1 << domain_bits) - 1 };
+            let mut x = seed;
+            let mut space = KeySpace::new(width);
+            for _ in 0..8 * blocks + tail {
+                let key: Vec<u64> = (0..width)
+                    .map(|_| {
+                        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                        let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                        (z ^ (z >> 27)) & mask
+                    })
+                    .collect();
+                space.push(&key);
+            }
+            prop_assert_eq!(compute_fp_indices(&space, &cfg), reference_indices(&space, &cfg));
+        }
+    }
 
     fn space(n: u64) -> Vec<Vec<u64>> {
         (0..n).map(|i| vec![i, 80]).collect()
