@@ -10,7 +10,9 @@
 //! key words, so each word is one table-driven fold instead of eight
 //! byte-serial rounds.  The output is bit-identical to the byte-at-a-time
 //! computation (the unit tests pin both against known vectors and against
-//! a byte-serial reference).
+//! a byte-serial reference).  For bulk hashing, [`crc32_words_x8`] runs
+//! eight such folds in lockstep; it is the one multi-lane kernel, and its
+//! only caller is the false-positive precompute.
 
 /// The hash algorithms the pipeline can instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,82 +154,15 @@ impl Crc32Fold {
     }
 }
 
-/// Four independent CRC-32 streams folded in lockstep.
-///
-/// Each [`fold8`](Self::fold8) advances all four states with interleaved
-/// table lookups, so the loads of one stream hide the latency of the
-/// others (the scalar fold is a serial dependency chain; four chains keep
-/// the load ports busy).  Bit-identical to four separate [`Crc32Fold`]s.
-/// The vector executor hashes four PHV lanes at a time through this; the
-/// false-positive precompute uses the wider [`Crc32FoldX8`].
-#[derive(Debug, Clone)]
-pub struct Crc32FoldX4 {
-    tables: &'static [[u32; 256]; 8],
-    state: [u32; 4],
-}
-
-impl Crc32FoldX4 {
-    /// Four fresh CRC-32 (IEEE 802.3) computations.
-    pub fn ieee() -> Self {
-        Crc32FoldX4 { tables: &CRC32_IEEE8, state: [0xffff_ffff; 4] }
-    }
-
-    /// Four fresh CRC-32C (Castagnoli) computations.
-    pub fn castagnoli() -> Self {
-        Crc32FoldX4 { tables: &CRC32_CASTAGNOLI8, state: [0xffff_ffff; 4] }
-    }
-
-    /// Folds eight bytes into each of the four states.
-    #[inline]
-    pub fn fold8(&mut self, b: [[u8; 8]; 4]) {
-        let t = self.tables;
-        for lane in 0..4 {
-            let b = b[lane];
-            let x = self.state[lane] ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-            self.state[lane] = t[7][(x & 0xff) as usize]
-                ^ t[6][((x >> 8) & 0xff) as usize]
-                ^ t[5][((x >> 16) & 0xff) as usize]
-                ^ t[4][(x >> 24) as usize]
-                ^ t[3][b[4] as usize]
-                ^ t[2][b[5] as usize]
-                ^ t[1][b[6] as usize]
-                ^ t[0][b[7] as usize];
-        }
-    }
-
-    /// The four finished (inverted) CRC values.
-    pub fn finish(&self) -> [u32; 4] {
-        [!self.state[0], !self.state[1], !self.state[2], !self.state[3]]
-    }
-}
-
-/// CRC-32 (IEEE) of four equal-length `u64` keys in one interleaved pass.
-///
-/// # Panics
-/// If the four slices have differing lengths.
-pub fn crc32_words_x4(keys: [&[u64]; 4]) -> [u32; 4] {
-    let w = keys[0].len();
-    assert!(keys.iter().all(|k| k.len() == w), "x4 keys must share a width");
-    let mut c = Crc32FoldX4::ieee();
-    for (i, w0) in keys[0].iter().enumerate() {
-        c.fold8([
-            w0.to_be_bytes(),
-            keys[1][i].to_be_bytes(),
-            keys[2][i].to_be_bytes(),
-            keys[3][i].to_be_bytes(),
-        ]);
-    }
-    c.finish()
-}
-
 /// Eight independent CRC-32 streams folded in lockstep.
 ///
-/// The widened sibling of [`Crc32FoldX4`]: eight serial dependency chains
-/// give the out-of-order core even more independent loads to overlap.  On
-/// the false-positive precompute's key volumes (tens of millions of
-/// `u64` words) the x8 fold measurably beats x4 — the chains are short
-/// (one XOR plus eight table loads per word) so four of them still leave
-/// load-port slack.  Bit-identical to eight separate [`Crc32Fold`]s.
+/// Each [`fold8`](Self::fold8) advances all eight states with interleaved
+/// table lookups, so the loads of one stream hide the latency of the
+/// others (the scalar fold is a serial dependency chain; the chains are
+/// short — one XOR plus eight table loads per word — so eight of them are
+/// needed to keep the load ports busy).  The false-positive precompute
+/// hashes its key space through this.  Bit-identical to eight separate
+/// [`Crc32Fold`]s.
 #[derive(Debug, Clone)]
 pub struct Crc32FoldX8 {
     tables: &'static [[u32; 256]; 8],
@@ -399,41 +334,6 @@ mod tests {
                 };
                 c.update(&bytes);
                 prop_assert_eq!(c.finish(), crc32_byte_serial(poly, &bytes));
-            }
-        }
-
-        /// The four-lane interleaved fold is bit-identical to four scalar
-        /// computations, for both polynomials and any stream content.
-        #[test]
-        fn x4_matches_four_scalar_folds(
-            keys in prop::collection::vec(prop::collection::vec(any::<u64>(), 3), 4)
-        ) {
-            let refs: [&[u64]; 4] = [&keys[0], &keys[1], &keys[2], &keys[3]];
-            let batch = crc32_words_x4(refs);
-            for lane in 0..4 {
-                prop_assert_eq!(
-                    u64::from(batch[lane]),
-                    hash_words(HashAlgo::Crc32, refs[lane]),
-                    "lane {} diverged", lane
-                );
-            }
-
-            let mut c4 = Crc32FoldX4::castagnoli();
-            for (((a, b), c), d) in keys[0].iter().zip(&keys[1]).zip(&keys[2]).zip(&keys[3]) {
-                c4.fold8([
-                    a.to_be_bytes(),
-                    b.to_be_bytes(),
-                    c.to_be_bytes(),
-                    d.to_be_bytes(),
-                ]);
-            }
-            let batch_c = c4.finish();
-            for lane in 0..4 {
-                prop_assert_eq!(
-                    u64::from(batch_c[lane]),
-                    hash_words(HashAlgo::Crc32c, refs[lane]),
-                    "castagnoli lane {} diverged", lane
-                );
             }
         }
 

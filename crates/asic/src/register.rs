@@ -35,34 +35,11 @@ pub enum SaluOperand {
 }
 
 impl SaluOperand {
-    fn eval<A: SaluAccess + ?Sized>(&self, phv: &A) -> u64 {
+    fn eval(&self, phv: &Phv) -> u64 {
         match *self {
             SaluOperand::Const(c) => c,
             SaluOperand::Field(f) => phv.get(f),
         }
-    }
-}
-
-/// Field access as the SALU sees it — implemented by [`Phv`] (the scalar
-/// executors) and by the vector executor's lane views, so one
-/// [`RegisterFile::execute_on`] body serves both and their semantics
-/// cannot drift.
-pub trait SaluAccess {
-    /// Reads a field.
-    fn get(&self, f: FieldId) -> u64;
-    /// Writes a field, masking to its declared width.
-    fn set(&mut self, table: &FieldTable, f: FieldId, v: u64);
-}
-
-impl SaluAccess for Phv {
-    #[inline]
-    fn get(&self, f: FieldId) -> u64 {
-        Phv::get(self, f)
-    }
-
-    #[inline]
-    fn set(&mut self, table: &FieldTable, f: FieldId, v: u64) {
-        Phv::set(self, table, f, v);
     }
 }
 
@@ -135,7 +112,7 @@ pub enum SaluUpdate {
 }
 
 impl SaluUpdate {
-    fn apply<A: SaluAccess + ?Sized>(&self, old: u64, phv: &A, mask: u64) -> u64 {
+    fn apply(&self, old: u64, phv: &Phv, mask: u64) -> u64 {
         match *self {
             SaluUpdate::Keep => old,
             SaluUpdate::Set(op) => op.eval(phv) & mask,
@@ -348,21 +325,6 @@ impl RegisterFile {
         idx: u64,
         program: &SaluProgram,
         phv: &mut Phv,
-        table: &FieldTable,
-    ) -> u64 {
-        self.execute_on(id, idx, program, phv, table)
-    }
-
-    /// [`execute`](Self::execute) over any [`SaluAccess`] view — the
-    /// vector executor runs SALUs on SoA lane views through this entry
-    /// point, one lane at a time, so per-register access order is the
-    /// lane (= packet) order.
-    pub fn execute_on<A: SaluAccess + ?Sized>(
-        &mut self,
-        id: RegId,
-        idx: u64,
-        program: &SaluProgram,
-        phv: &mut A,
         table: &FieldTable,
     ) -> u64 {
         let arr = &mut self.arrays[id.0 as usize];

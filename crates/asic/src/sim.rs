@@ -50,8 +50,6 @@ pub mod metrics {
         static OPS: Cell<u64> = const { Cell::new(0) };
         static BATCH_HIST: Cell<[u64; BATCH_BUCKETS]> = const { Cell::new([0; BATCH_BUCKETS]) };
         static BY_KIND: Cell<[u64; KIND_COUNT]> = const { Cell::new([0; KIND_COUNT]) };
-        static VEC_BATCHES: Cell<u64> = const { Cell::new(0) };
-        static VEC_LANES: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Cumulative events processed by worlds on this thread (flushed when
@@ -84,13 +82,6 @@ pub mod metrics {
         OPS.with(|c| c.set(c.get() + n));
     }
 
-    /// Records one vector-executor ingress dispatch of `lanes` PHV lanes
-    /// (the batch-occupancy signal of the `--exec vector` fast path).
-    pub fn record_vector_dispatch(lanes: u64) {
-        VEC_BATCHES.with(|c| c.set(c.get() + 1));
-        VEC_LANES.with(|c| c.set(c.get() + lanes));
-    }
-
     /// Cumulative profile counters of this thread, for `--profile`
     /// reports.  Counters are cumulative across jobs; snapshot before and
     /// after a run and subtract ([`ProfileSnapshot::delta_since`]).
@@ -111,11 +102,6 @@ pub mod metrics {
         /// Events by target [`super::DeviceKind`], indexed by
         /// [`super::DeviceKind::index`].
         pub by_kind: [u64; KIND_COUNT],
-        /// Vector-executor ingress dispatches.
-        pub vector_batches: u64,
-        /// Total PHV lanes processed by those dispatches
-        /// (`vector_lanes / vector_batches` = mean occupancy).
-        pub vector_lanes: u64,
     }
 
     impl ProfileSnapshot {
@@ -130,8 +116,6 @@ pub mod metrics {
             for (a, b) in self.by_kind.iter_mut().zip(other.by_kind) {
                 *a += b;
             }
-            self.vector_batches += other.vector_batches;
-            self.vector_lanes += other.vector_lanes;
         }
 
         /// Counter deltas since an earlier snapshot.
@@ -145,8 +129,6 @@ pub mod metrics {
             for (a, b) in d.by_kind.iter_mut().zip(earlier.by_kind) {
                 *a -= b;
             }
-            d.vector_batches -= earlier.vector_batches;
-            d.vector_lanes -= earlier.vector_lanes;
             d
         }
     }
@@ -158,8 +140,6 @@ pub mod metrics {
             ops_retired: OPS.with(Cell::get),
             batch_hist: BATCH_HIST.with(Cell::get),
             by_kind: BY_KIND.with(Cell::get),
-            vector_batches: VEC_BATCHES.with(Cell::get),
-            vector_lanes: VEC_LANES.with(Cell::get),
         }
     }
 

@@ -127,14 +127,6 @@ pub struct Switch {
     exec_mode: ExecMode,
     compiled_ingress: Option<exec::CompiledPipeline>,
     compiled_egress: Option<exec::CompiledPipeline>,
-    /// Vector-mode lane plan over the compiled ingress program; `None`
-    /// when the program has a vector hazard (falls back to per-packet
-    /// compiled execution).
-    vector: Option<exec::VectorPlan>,
-    /// Reusable SoA lane buffer for vector batches.
-    lane_batch: exec::LaneBatch,
-    /// Admitted-packet staging for batched dispatch.
-    batch_scratch: Vec<(SimPacket, u16, SimTime)>,
     mcast_scratch: Vec<McastMember>,
 }
 
@@ -171,9 +163,6 @@ impl Switch {
             exec_mode: ExecMode::Interp,
             compiled_ingress: None,
             compiled_egress: None,
-            vector: None,
-            lane_batch: exec::LaneBatch::new(),
-            batch_scratch: Vec::new(),
             mcast_scratch: Vec::new(),
         }
     }
@@ -194,30 +183,12 @@ impl Switch {
             ExecMode::Compiled => {
                 self.compiled_ingress = Some(exec::compile(&self.ingress, &self.fields));
                 self.compiled_egress = Some(exec::compile(&self.egress, &self.fields));
-                self.vector = None;
-            }
-            ExecMode::Vector => {
-                let ig = exec::compile(&self.ingress, &self.fields);
-                let eg = exec::compile(&self.egress, &self.fields);
-                // Programs with vector hazards (externs, RNG, digests,
-                // aliased SALU registers) silently fall back to per-packet
-                // compiled execution — semantics are identical either way.
-                self.vector = exec::vector_plan(&ig, &eg, &self.fields).ok();
-                self.compiled_ingress = Some(ig);
-                self.compiled_egress = Some(eg);
             }
             ExecMode::Interp => {
                 self.compiled_ingress = None;
                 self.compiled_egress = None;
-                self.vector = None;
             }
         }
-    }
-
-    /// Whether vector mode is active *and* the ingress program passed the
-    /// vector-safety analysis (diagnostics/tests).
-    pub fn vector_active(&self) -> bool {
-        self.vector.is_some()
     }
 
     /// The currently selected pipeline executor.
@@ -326,10 +297,10 @@ impl Switch {
         );
     }
 
-    /// Parser-side admission: counts the frame, clears stale template ids
-    /// on front-panel arrivals, and resets the per-traversal metadata.
-    #[inline]
-    fn ingress_prepare(&mut self, pkt: &mut SimPacket, in_port: u16, now: SimTime) {
+    /// Runs a packet through ingress, the traffic manager and all egress
+    /// paths.  Public so microbenchmarks can drive the switch without a
+    /// full [`crate::sim::World`].
+    pub fn process(&mut self, mut pkt: SimPacket, in_port: u16, now: SimTime, out: &mut Outbox) {
         self.counters.rx_frames += 1;
         // `meta.template_id` rides an internal header on the recirculation
         // and PCIe paths only; a frame arriving on a front-panel port has no
@@ -342,31 +313,22 @@ impl Switch {
         // tables; grow to this program's width (metadata starts cleared).
         pkt.phv.grow_to(self.fields.len());
         Self::reset_metadata(&mut pkt.phv, &self.fields, in_port, now);
-    }
 
-    /// One per-packet pass of the ingress pipeline (compiled or
-    /// interpreted).
-    #[inline]
-    fn run_ingress(&mut self, pkt: &mut SimPacket, now: SimTime) {
-        let mut ctx = ExecCtx {
-            table: &self.fields,
-            regs: &mut self.regs,
-            rng: &mut self.rng,
-            digests: &mut self.digests,
-            now,
-        };
-        if let Some(prog) = &self.compiled_ingress {
-            let n = exec::run(prog, &mut self.ingress, &mut pkt.phv, &mut ctx);
-            crate::sim::metrics::record_ops(n);
-        } else {
-            self.ingress.execute(&mut pkt.phv, &mut ctx);
+        {
+            let mut ctx = ExecCtx {
+                table: &self.fields,
+                regs: &mut self.regs,
+                rng: &mut self.rng,
+                digests: &mut self.digests,
+                now,
+            };
+            if let Some(prog) = &self.compiled_ingress {
+                let n = exec::run(prog, &mut self.ingress, &mut pkt.phv, &mut ctx);
+                crate::sim::metrics::record_ops(n);
+            } else {
+                self.ingress.execute(&mut pkt.phv, &mut ctx);
+            }
         }
-    }
-
-    /// Everything after ingress: drop check, traffic manager, multicast
-    /// replication, recirculation and unicast egress.
-    #[inline]
-    fn post_ingress(&mut self, pkt: SimPacket, now: SimTime, out: &mut Outbox) {
         if pkt.phv.get(fields::DROP_FLAG) != 0 {
             self.counters.ingress_drops += 1;
             return;
@@ -414,15 +376,6 @@ impl Switch {
                 self.run_egress(pkt, eg as u16, t_tm + timing::TM_UNICAST_LATENCY, out);
             }
         }
-    }
-
-    /// Runs a packet through ingress, the traffic manager and all egress
-    /// paths.  Public so microbenchmarks can drive the switch without a
-    /// full [`crate::sim::World`].
-    pub fn process(&mut self, mut pkt: SimPacket, in_port: u16, now: SimTime, out: &mut Outbox) {
-        self.ingress_prepare(&mut pkt, in_port, now);
-        self.run_ingress(&mut pkt, now);
-        self.post_ingress(pkt, now, out);
     }
 
     /// Egress pipeline + MAC transmission toward an external port.
@@ -532,70 +485,6 @@ impl Device for Switch {
     fn wake(&mut self, token: u64, now: SimTime, out: &mut Outbox) {
         let pkt = self.unstash(token, now);
         self.process(pkt, RECIRC_PORT, now, out);
-    }
-
-    fn rx_batch(&mut self, items: &mut Vec<crate::sim::BatchItem>, now: SimTime, out: &mut Outbox) {
-        use crate::sim::BatchItem;
-        let _ = now;
-        if self.vector.is_none() || items.len() < 2 {
-            for item in items.drain(..) {
-                match item {
-                    BatchItem::Deliver { port, pkt, at } => self.rx(port, pkt, at, out),
-                    BatchItem::Wake { token, at } => self.wake(token, at, out),
-                }
-                out.checkpoint();
-            }
-            return;
-        }
-        // Phase A — admit every item through the parser in event order:
-        // frame counting, template clearing, recirculation unstash and
-        // per-item metadata reset all observe the serial order.
-        let mut staged = std::mem::take(&mut self.batch_scratch);
-        staged.clear();
-        for item in items.drain(..) {
-            let (mut pkt, port, at) = match item {
-                BatchItem::Deliver { port, pkt, at } => (pkt, port, at),
-                BatchItem::Wake { token, at } => (self.unstash(token, at), RECIRC_PORT, at),
-            };
-            self.ingress_prepare(&mut pkt, port, at);
-            staged.push((pkt, port, at));
-        }
-        // Phase B — one op-at-a-time ingress pass over all lanes.  The
-        // vector plan guarantees this is observationally identical to
-        // per-packet execution: no RNG draws, no digests, and every
-        // register behind a single SALU site visiting lanes in packet
-        // order.
-        let plan = self.vector.take().expect("vector plan checked above");
-        let prog = self.compiled_ingress.take().expect("vector mode compiles ingress");
-        let n = staged.len();
-        self.lane_batch.begin(&plan, n);
-        for (lane, (pkt, _, _)) in staged.iter().enumerate() {
-            self.lane_batch.load(&plan, lane, &pkt.phv);
-        }
-        let retired = exec::run_vector(
-            &prog,
-            &plan,
-            &mut self.ingress,
-            &mut self.regs,
-            &self.fields,
-            &mut self.lane_batch,
-        );
-        crate::sim::metrics::record_ops(retired);
-        crate::sim::metrics::record_vector_dispatch(n as u64);
-        for (lane, (pkt, _, _)) in staged.iter_mut().enumerate() {
-            self.lane_batch.store(&plan, lane, &mut pkt.phv);
-        }
-        self.compiled_ingress = Some(prog);
-        self.vector = Some(plan);
-        // Phase C — per-packet continuation in event order: drop
-        // accounting, TM, multicast replication (uid and jitter draws),
-        // recirculation and egress, with one checkpoint per item so the
-        // flush assigns the same event keys as serial dispatch.
-        for (pkt, _, at) in staged.drain(..) {
-            self.post_ingress(pkt, at, out);
-            out.checkpoint();
-        }
-        self.batch_scratch = staged;
     }
 
     fn lookahead(&self) -> SimTime {

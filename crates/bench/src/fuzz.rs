@@ -1,7 +1,7 @@
 //! Grammar-driven fuzz oracle cross-checking the static analysis.
 //!
 //! [`run_fuzz`] generates random NTAPI tasks from a small grammar over the
-//! builder API, compiles each one, and cross-checks six invariants the
+//! builder API, compiles each one, and cross-checks five invariants the
 //! static pipeline promises:
 //!
 //! * **A (accepted ⇒ clean)** — a task the static pipeline accepts
@@ -26,13 +26,6 @@
 //!   executor ([`ht_asic::exec`]) must be observationally identical to
 //!   the per-stage interpreter: same simulation digest, same register
 //!   wrap log, same reported/rogue query flows on the same task.
-//! * **F (vector differential)** — the lane-batched vector executor
-//!   (`--exec vector`, op-at-a-time over batched PHVs) must likewise be
-//!   observationally identical to the interpreter.  Programs whose
-//!   ingress the vector planner rejects (externs, RNG/digest ops,
-//!   aliased stateful ALUs) fall back to the compiled scalar path inside
-//!   the same run — the invariant still holds over the fallback, so the
-//!   hazard analysis itself is under test.
 //!
 //! The grammar covers the module system too: a spec may render
 //! *modularly* — each trigger becomes a parameterized `template` in an
@@ -462,8 +455,7 @@ pub fn gen_spec(rng: &mut SplitMix64) -> TaskSpec {
 /// One invariant violation, with the evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Which invariant broke: `"A"`, `"B"`, `"C"`, `"D"`, `"E"`, or
-    /// `"F"`.
+    /// Which invariant broke: `"A"`, `"B"`, `"C"`, `"D"` or `"E"`.
     pub invariant: &'static str,
     /// Human-readable evidence.
     pub detail: String,
@@ -508,11 +500,6 @@ struct SimSummary {
     /// Reported flows whose key falls outside the injected header space
     /// — any nonzero count is an invariant-D violation.
     rogue_flows: usize,
-    /// Whether the switch held a vector plan for this run (always false
-    /// under the interp/compiled modes; under vector mode, false means
-    /// the planner rejected the ingress and the run used the compiled
-    /// fallback).
-    vector_planned: bool,
 }
 
 enum SimResult {
@@ -638,7 +625,6 @@ fn simulate(task: &CompiledTask, exec: ExecMode) -> SimResult {
         recirculations: sw.counters.recirculations,
         reported_flows,
         rogue_flows,
-        vector_planned: sw.vector_active(),
     })
 }
 
@@ -684,56 +670,36 @@ pub struct ExecDifferential {
     pub interp: u64,
     /// Digest under the compiled threaded-code executor.
     pub compiled: u64,
-    /// Digest under the lane-batched vector executor (or its compiled
-    /// fallback when the vector planner rejects the ingress).
-    pub vector: u64,
-    /// Register wrap events observed under `(interp, compiled, vector)`.
-    pub wrap_events: (usize, usize, usize),
+    /// Register wrap events observed under `(interp, compiled)`.
+    pub wrap_events: (usize, usize),
     /// `(reported, rogue)` keyed-query flow counts under the interpreter.
     pub interp_flows: (usize, usize),
     /// `(reported, rogue)` keyed-query flow counts under the compiled
     /// executor.
     pub compiled_flows: (usize, usize),
-    /// `(reported, rogue)` keyed-query flow counts under the vector
-    /// executor.
-    pub vector_flows: (usize, usize),
-    /// Whether the vector-mode run actually executed lane-batched (the
-    /// planner accepted the ingress); `false` means it ran the compiled
-    /// fallback, which invariant F deliberately also covers.
-    pub vector_planned: bool,
 }
 
 impl ExecDifferential {
-    /// Whether every compared observable is byte-identical across all
-    /// three executors.
+    /// Whether every compared observable is byte-identical across both
+    /// executors.
     pub fn agree(&self) -> bool {
         self.interp == self.compiled
-            && self.interp == self.vector
             && self.wrap_events.0 == self.wrap_events.1
-            && self.wrap_events.0 == self.wrap_events.2
             && self.interp_flows == self.compiled_flows
-            && self.interp_flows == self.vector_flows
     }
 }
 
-/// Runs the invariant-E/F probe on an explicit program: `None` when the
-/// static pipeline rejects it, otherwise all three executors' evidence.
+/// Runs the invariant-E probe on an explicit program: `None` when the
+/// static pipeline rejects it, otherwise both executors' evidence.
 pub fn exec_differential(prog: &Program) -> Option<ExecDifferential> {
     let task = compile(prog).ok()?;
-    match (
-        simulate(&task, ExecMode::Interp),
-        simulate(&task, ExecMode::Compiled),
-        simulate(&task, ExecMode::Vector),
-    ) {
-        (SimResult::Ran(i), SimResult::Ran(c), SimResult::Ran(v)) => Some(ExecDifferential {
+    match (simulate(&task, ExecMode::Interp), simulate(&task, ExecMode::Compiled)) {
+        (SimResult::Ran(i), SimResult::Ran(c)) => Some(ExecDifferential {
             interp: i.digest,
             compiled: c.digest,
-            vector: v.digest,
-            wrap_events: (i.wrap_events, c.wrap_events, v.wrap_events),
+            wrap_events: (i.wrap_events, c.wrap_events),
             interp_flows: (i.reported_flows, i.rogue_flows),
             compiled_flows: (c.reported_flows, c.rogue_flows),
-            vector_flows: (v.reported_flows, v.rogue_flows),
-            vector_planned: v.vector_planned,
         }),
         _ => None,
     }
@@ -800,39 +766,6 @@ fn check_spec_inner(spec: &TaskSpec) -> CaseOutcome {
             })
         }
     }
-    // Invariant F: the lane-batched vector executor (or its compiled
-    // fallback when the vector planner rejects the ingress) must match
-    // the interpreter on the same observables.
-    let vector = simulate(&task, ExecMode::Vector);
-    match (&vector, &interp) {
-        (SimResult::Ran(v), SimResult::Ran(i)) => {
-            if v.digest != i.digest
-                || v.wrap_events != i.wrap_events
-                || (v.reported_flows, v.rogue_flows) != (i.reported_flows, i.rogue_flows)
-            {
-                return CaseOutcome::Violated(Violation {
-                    invariant: "F",
-                    detail: format!(
-                        "executors diverged: vector {:#018x}/{} wraps/{} flows vs \
-                         interp {:#018x}/{} wraps/{} flows",
-                        v.digest,
-                        v.wrap_events,
-                        v.reported_flows,
-                        i.digest,
-                        i.wrap_events,
-                        i.reported_flows
-                    ),
-                });
-            }
-        }
-        (SimResult::Rejected, SimResult::Rejected) => {}
-        _ => {
-            return CaseOutcome::Violated(Violation {
-                invariant: "F",
-                detail: "vector executor choice changed buildability".into(),
-            })
-        }
-    }
     match (full, prefix) {
         (SimResult::Rejected, SimResult::Rejected) => CaseOutcome::Rejected,
         (SimResult::Rejected, SimResult::Ran(_)) | (SimResult::Ran(_), SimResult::Rejected) => {
@@ -874,7 +807,7 @@ fn check_spec_inner(spec: &TaskSpec) -> CaseOutcome {
     }
 }
 
-/// Checks one spec against all six invariants.  A panic anywhere in
+/// Checks one spec against all five invariants.  A panic anywhere in
 /// resolve/compile/build/simulate is itself an invariant-A violation.
 pub fn check_spec(spec: &TaskSpec) -> CaseOutcome {
     match catch_unwind(AssertUnwindSafe(|| check_spec_inner(spec))) {

@@ -1657,8 +1657,8 @@ fn scaling_run(engines: usize, hops: usize, packets: u64, t_end: u64) -> (Vec<u6
 ///
 /// The simulated results (per-forwarder counts, event totals) must be
 /// byte-identical at every engine count — that is the digest — while the
-/// events/sec column is wall clock and volatile.  The speedup check only
-/// applies on multi-core hosts; single-core CI still verifies determinism.
+/// events/sec column is wall clock and volatile.  The speedup is reported
+/// (with the host's core count) as extras, not checked.
 pub struct SimScaling;
 
 impl Experiment for SimScaling {
@@ -1742,24 +1742,12 @@ impl Experiment for SimScaling {
             base_fwd > packets,
             format!("{base_fwd} forwards from {packets} injected packets"),
         );
-        // A host that cannot demonstrate scaling — one core, or a
-        // throttled container where no parallel run beats serial — is
-        // recorded, not failed: the identical-results checks above gate
-        // correctness, and the extra lets report consumers skip the
-        // speedup row.  Keeping the verdict host-independent also keeps
-        // the result digest identical across machines (check verdicts
-        // feed `result_digest`; the wall-clock table rows are volatile
-        // and already excluded).
-        let single_core = cores < 2 || best_speedup <= 1.0;
-        if single_core {
-            r.extras.push(("single_core".into(), "true".into()));
-        }
-        r.check(
-            "parallel_speedup",
-            single_core || best_speedup > 1.0,
-            format!("best {best_speedup:.2}x on {cores} core(s)"),
-        );
+        // Speedup is wall clock and host-dependent (one core, or a
+        // throttled container, shows none), so it is reported, not
+        // checked: check verdicts feed `result_digest`, which must stay
+        // identical across machines.
         r.extras.push(("eps_e1".into(), format!("{:.3}", base_events as f64 / base_wall)));
+        r.extras.push(("cores".into(), cores.to_string()));
         r.extras.push(("best_speedup".into(), format!("{best_speedup:.3}")));
         out.flush_into(&mut r);
         r

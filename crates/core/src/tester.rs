@@ -435,9 +435,8 @@ pub fn build(task: &CompiledTask, cfg: &TesterConfig) -> Result<BuiltTester, Bui
     }
 
     // All tables are populated and verified: adopt the process-wide
-    // executor default (compiling the pipelines and, for `Vector`,
-    // running the vector-safety analysis).  Callers flipping modes later
-    // use `Switch::set_exec_mode`.
+    // executor default (compiling the pipelines for `Compiled`).  Callers
+    // flipping modes later use `Switch::set_exec_mode`.
     let mode = ht_asic::exec::default_mode();
     if mode != ht_asic::ExecMode::Interp {
         sw.set_exec_mode(mode);

@@ -65,7 +65,7 @@ impl Default for BenchOpts {
 /// Usage text for the `bench` subcommand.
 pub const BENCH_USAGE: &str = "usage: bench [--smoke] [--workers N] [--sim-threads N] [--json] \
      [--out FILE] [--baseline FILE] [--fail-threshold PCT] [--md FILE] [--filter SUBSTR] [--list] \
-     [--exec interp|compiled|vector] [--profile]";
+     [--exec interp|compiled] [--profile]";
 
 /// Parses `bench` arguments.  Unknown flags are usage errors.
 pub fn parse_bench_args(args: &[String]) -> Result<BenchOpts, String> {
@@ -108,7 +108,7 @@ pub fn parse_bench_args(args: &[String]) -> Result<BenchOpts, String> {
             "--exec" => {
                 let v = value(&mut it, "--exec")?;
                 o.exec = ht_asic::ExecMode::parse(&v)
-                    .ok_or(format!("--exec must be `interp`, `compiled` or `vector`, got `{v}`"))?;
+                    .ok_or(format!("--exec must be `interp` or `compiled`, got `{v}`"))?;
             }
             other => return Err(format!("unknown bench flag: {other}")),
         }

@@ -103,9 +103,8 @@ impl BenchReport {
                     .collect::<Vec<_>>()
                     .join(",");
                 line.push_str(&format!(
-                    ",\"profile\":{{\"ops_retired\":{},\"batch_hist\":[{hist}],\
-                     \"vector_batches\":{},\"vector_lanes\":{},{kinds}}}",
-                    p.ops_retired, p.vector_batches, p.vector_lanes,
+                    ",\"profile\":{{\"ops_retired\":{},\"batch_hist\":[{hist}],{kinds}}}",
+                    p.ops_retired,
                 ));
             }
             for (k, v) in &r.output.extras {

@@ -53,20 +53,6 @@ pub struct EditorProgramPlan {
     pub mix: OpMixPlan,
 }
 
-impl EditorProgramPlan {
-    /// Whether the backend's vector planner can lane-batch this editor
-    /// program: RNG draws consume the world RNG stream in packet order,
-    /// so any `rngs > 0` forces the per-packet fallback.  (The remaining
-    /// vector hazards — externs, digest emission, aliased stateful
-    /// ALUs — are properties of the assembled pipeline, not of a single
-    /// editor chain, and are decided by `ht_asic::exec::vector_plan` on
-    /// the built switch; this flag mirrors the one hazard knowable at
-    /// the IR level.)
-    pub fn vector_safe(&self) -> bool {
-        self.mix.rngs == 0
-    }
-}
-
 /// The module-wide executor plan: one entry per template, in template
 /// order.  Empty (the default) until the `exec-lowering` pass runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -84,14 +70,6 @@ impl ExecPlan {
     /// Total planned post-folding ops across all templates.
     pub fn total_ops(&self) -> usize {
         self.editors.iter().map(|e| e.ops).sum()
-    }
-
-    /// Whether every planned editor program is free of IR-level vector
-    /// hazards ([`EditorProgramPlan::vector_safe`]): a `false` here
-    /// predicts the backend's vector planner will reject the ingress and
-    /// `--exec vector` will run the compiled fallback.
-    pub fn vector_safe(&self) -> bool {
-        self.editors.iter().all(EditorProgramPlan::vector_safe)
     }
 }
 
@@ -160,21 +138,6 @@ mod tests {
         assert_eq!(p.folded_edits, 1);
         assert_eq!(p.ops, 6);
         assert_eq!(p.mix, OpMixPlan { sets: 1, salus: 2, rngs: 2, hashes: 1 });
-        // Two RNG draws → the vector planner must fall back per packet.
-        assert!(!p.vector_safe());
-        assert!(!ExecPlan { editors: vec![p] }.vector_safe());
-    }
-
-    #[test]
-    fn rng_free_editors_are_vector_safe() {
-        let edits = vec![
-            EditSpec::ValueList { field: HeaderField::Dport, values: vec![1, 2, 3] },
-            EditSpec::Progression { field: HeaderField::Sip, start: 0, end: 10, step: 1 },
-        ];
-        let p = plan_editor(2, &edits);
-        assert!(p.vector_safe());
-        assert!(ExecPlan { editors: vec![p] }.vector_safe());
-        assert!(ExecPlan::default().vector_safe());
     }
 
     #[test]

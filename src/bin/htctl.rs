@@ -22,12 +22,12 @@
 //! htctl p4 <task.nt>                      emit the generated P4 program
 //! htctl loc <task.nt>                     NTAPI vs generated-P4 line counts
 //! htctl run [--json] <task.nt> [--ports N] [--speed GBPS] [--duration MS]
-//!           [--copies N] [--sim-threads N] [--exec interp|compiled|vector]
+//!           [--copies N] [--sim-threads N] [--exec interp|compiled]
 //!                                         run against a sink testbed and
 //!                                         print throughput + query results
 //! htctl bench [--smoke] [--workers N] [--sim-threads N] [--json] [--out FILE]
 //!             [--baseline FILE] [--fail-threshold PCT] [--md FILE]
-//!             [--filter SUBSTR] [--list] [--exec interp|compiled|vector] [--profile]
+//!             [--filter SUBSTR] [--list] [--exec interp|compiled] [--profile]
 //!                                         run the experiment suite on the
 //!                                         parallel harness; write BENCH.json
 //! ```
@@ -65,10 +65,10 @@ fn usage() -> ExitCode {
          htctl fuzz [--cases N] [--seed S] [--corpus DIR] [--json]\n  \
          htctl p4 <task.nt>\n  htctl loc <task.nt>\n  \
          htctl run [--json] <task.nt> [--ports N] [--speed GBPS] [--duration MS] [--copies N]\n              \
-         [--sim-threads N] [--exec interp|compiled|vector]\n  \
+         [--sim-threads N] [--exec interp|compiled]\n  \
          htctl bench [--smoke] [--workers N] [--sim-threads N] [--json] [--out FILE]\n              \
          [--baseline FILE] [--fail-threshold PCT] [--md FILE] [--filter SUBSTR] [--list]\n              \
-         [--exec interp|compiled|vector] [--profile]"
+         [--exec interp|compiled] [--profile]"
     );
     ExitCode::from(2)
 }
@@ -770,9 +770,7 @@ fn main() -> ExitCode {
                 "--exec" => {
                     let val = it.next().map(String::as_str);
                     let Some(m) = val.and_then(hypertester::asic::ExecMode::parse) else {
-                        eprintln!(
-                            "bad flag/value: --exec {val:?} (expected interp|compiled|vector)"
-                        );
+                        eprintln!("bad flag/value: --exec {val:?} (expected interp|compiled)");
                         return usage();
                     };
                     opts.exec = m;

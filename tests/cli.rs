@@ -175,7 +175,14 @@ fn usage_errors_exit_two_everywhere() {
     let (_, _, none) = htctl_code(&[]);
     let (_, _, compile) = htctl_code(&["compile"]);
     let (_, _, bench) = htctl_code(&["bench", "--bogus"]);
-    assert_eq!((none, compile, bench), (2, 2, 2));
+    let task = task_path("throughput.nt");
+    let (_, run_err, run_exec) = htctl_code(&["run", &task, "--exec", "vector"]);
+    let (_, bench_err, bench_exec) = htctl_code(&["bench", "--exec", "vector"]);
+    assert_eq!((none, compile, bench, run_exec, bench_exec), (2, 2, 2, 2, 2));
+    for err in [&run_err, &bench_err] {
+        assert!(err.contains("interp|compiled"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
 }
 
 #[test]

@@ -1,8 +1,7 @@
-//! Invariant-E/F pins: the compiled threaded-code executor and the
-//! lane-batched vector executor must both match the per-stage
-//! interpreter byte-for-byte — same simulation digest, same register
-//! wrap log, same keyed-query flows — on every shipped task, every
-//! stored fuzz counterexample, and randomized sweeps over the fuzz
+//! Invariant-E pins: the compiled threaded-code executor must match the
+//! per-stage interpreter byte-for-byte — same simulation digest, same
+//! register wrap log, same keyed-query flows — on every shipped task,
+//! every stored fuzz counterexample, and a randomized sweep over the fuzz
 //! grammar.
 
 use hypertester::bench::fuzz::{exec_differential, gen_spec, SplitMix64, TaskSpec};
@@ -29,15 +28,12 @@ fn every_shipped_task_runs_identically_under_all_executors() {
             .unwrap_or_else(|| panic!("{}: does not build on the fuzz testbed", path.display()));
         assert!(
             d.agree(),
-            "{}: compiled {:#018x}/{:?} wraps/{:?} flows, vector {:#018x}/{:?} wraps/{:?} \
-             flows vs interp {:#018x}/{:?} wraps/{:?} flows",
+            "{}: compiled {:#018x}/{:?} wraps/{:?} flows vs interp {:#018x}/{:?} wraps/{:?} \
+             flows",
             path.display(),
             d.compiled,
             d.wrap_events.1,
             d.compiled_flows,
-            d.vector,
-            d.wrap_events.2,
-            d.vector_flows,
             d.interp,
             d.wrap_events.0,
             d.interp_flows,
@@ -77,10 +73,9 @@ fn every_corpus_case_runs_identically_under_all_executors() {
         if let Some(d) = exec_differential(&prog) {
             assert!(
                 d.agree(),
-                "{}: compiled {:#018x}, vector {:#018x} vs interp {:#018x}",
+                "{}: compiled {:#018x} vs interp {:#018x}",
                 path.display(),
                 d.compiled,
-                d.vector,
                 d.interp,
             );
         }
@@ -90,9 +85,9 @@ fn every_corpus_case_runs_identically_under_all_executors() {
 #[test]
 fn randomized_grammar_specs_agree_under_all_executors() {
     // Property sweep: every accepted draw from the fuzz grammar must run
-    // identically under all three executors.  The modular/resolver axis
-    // is covered by the fuzz oracle itself (invariants E and F in
-    // `check_spec`); here we sweep the builder renderings for breadth.
+    // identically under both executors.  The modular/resolver axis is
+    // covered by the fuzz oracle itself (invariant E in `check_spec`);
+    // here we sweep the builder renderings for breadth.
     let mut rng = SplitMix64::new(0xE);
     let mut agreed = 0usize;
     for _ in 0..60 {
@@ -102,46 +97,12 @@ fn randomized_grammar_specs_agree_under_all_executors() {
         };
         assert!(
             d.agree(),
-            "{}: compiled {:#018x}, vector {:#018x} vs interp {:#018x}",
+            "{}: compiled {:#018x} vs interp {:#018x}",
             spec.to_line(),
             d.compiled,
-            d.vector,
             d.interp,
         );
         agreed += 1;
     }
     assert!(agreed >= 10, "sweep too vacuous: only {agreed} accepted specs");
-}
-
-#[test]
-fn vector_sweep_covers_both_planned_and_fallback_ingresses() {
-    // A second, differently-seeded sweep focused on invariant F: the
-    // digest equality above holds whether the vector planner accepted
-    // the ingress (lane-batched execution) or rejected it (compiled
-    // fallback inside the vector-mode run).  Count both paths so the
-    // sweep cannot silently degenerate into fallback-only coverage.
-    let mut rng = SplitMix64::new(0xF);
-    let (mut planned, mut fallback) = (0usize, 0usize);
-    for _ in 0..40 {
-        let spec = gen_spec(&mut rng);
-        let Some(d) = exec_differential(&spec.to_program()) else {
-            continue;
-        };
-        assert!(
-            d.agree(),
-            "{}: vector {:#018x} vs interp {:#018x}",
-            spec.to_line(),
-            d.vector,
-            d.interp,
-        );
-        if d.vector_planned {
-            planned += 1;
-        } else {
-            fallback += 1;
-        }
-    }
-    assert!(
-        planned >= 3 && fallback >= 3,
-        "sweep too one-sided: {planned} lane-batched vs {fallback} fallback specs"
-    );
 }
